@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedCharacteristicError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, SpanTracker, row_rank, solve
+from .matrices import Matrix, SpanTracker, _reduce, row_rank, solve
 
 
 class Algebra:
@@ -381,15 +381,6 @@ def _subspace_bases(p: int, n: int, k: int):
             yield [list(row) for row in rows]
 
 
-def _int_reduce(vec: list[int], rows: list[list[int]], pivots: list[int], p: int) -> list[int]:
-    vec = [v % p for v in vec]
-    for row, piv in zip(rows, pivots):
-        if vec[piv]:
-            f = vec[piv]
-            vec = [(a - f * b) % p for a, b in zip(vec, row)]
-    return vec
-
-
 def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     """All proper nonzero ideals of a small prime-field algebra, found by
     enumerating every proper subspace.  Feasible range: n <= 4, p <= 7."""
@@ -424,8 +415,10 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
                                     prod_r[t] += w[j] * cell_r[t]
                                 if cell_l[t]:
                                     prod_l[t] += w[j] * cell_l[t]
-                    if any(_int_reduce(prod_r, rows, pivots, p)) or any(
-                        _int_reduce(prod_l, rows, pivots, p)
+                    # rows have pivot 1, so the ints need no reduction mod p
+                    # until the membership test
+                    if any(v % p for v in _reduce(prod_r, rows, pivots)) or any(
+                        v % p for v in _reduce(prod_l, rows, pivots)
                     ):
                         closed = False
                         break
@@ -475,34 +468,12 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
     tb = _int_tensor(B)
     for flat in itertools.product(range(p), repeat=n * n):
         xi = [list(flat[r * n : (r + 1) * n]) for r in range(n)]
-        if _int_det(xi, p) == 0:
-            continue
+        # verify_isomorphism rejects the singular candidates that get here
         if _int_is_multiplicative(xi, ta, tb, p, n):
             m = Matrix(A.field, xi)
             if verify_isomorphism(A, B, m):
                 return m
     return None
-
-
-def _int_det(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    m = [[v % p for v in row] for row in rows]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pval = m[col][col]
-        det = det * pval % p
-        inv = pow(pval, p - 2, p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv % p
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[col])]
-    return det % p
 
 
 def _int_is_multiplicative(xi, ta, tb, p: int, n: int) -> bool:

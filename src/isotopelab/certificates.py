@@ -3,8 +3,8 @@ steps with an overall verdict.
 
 A step records a description, the boolean outcome, and (for golden
 comparisons) string renderings of the expected and actual values.  The
-verdict is the conjunction of all step checks; re-running a certificate is
-deterministic.
+verdict is the conjunction of all step checks, and false for a certificate
+with no steps; re-running a certificate is deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class Certificate:
 
     @property
     def verdict(self) -> bool:
-        return all(s.check for s in self.steps)
+        return bool(self.steps) and all(s.check for s in self.steps)
 
     def check(self, description: str, ok: bool, expected=None, actual=None) -> bool:
         """Record one boolean check."""

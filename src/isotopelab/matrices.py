@@ -131,54 +131,36 @@ class Matrix:
         return Matrix(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def det(self) -> Scalar:
-        n = self.n
-        rows = [list(r) for r in self.rows]
-        sign = self.field.one
+        # each insert divides the row by its pivot value and moves it above
+        # `moves` echelon rows; det is the product of the pivot values, with
+        # one sign flip per row passed
+        tracker = SpanTracker(self.field, self.n)
         acc = self.field.one
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col]), None)
-            if piv is None:
+        for row in self.rows:
+            step = tracker._insert(list(row))
+            if step is None:
                 return self.field.zero
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                sign = -sign
-            pval = rows[col][col]
-            acc = acc * pval
-            for r in range(col + 1, n):
-                if rows[r][col]:
-                    factor = rows[r][col] / pval
-                    for c in range(col, n):
-                        rows[r][c] = rows[r][c] - factor * rows[col][c]
-        return sign * acc
+            pval, moves = step
+            acc = acc * pval if moves % 2 == 0 else -(acc * pval)
+        return acc
 
     def is_invertible(self) -> bool:
         return bool(self.det())
 
     def inverse(self) -> "Matrix":
+        # the reduced echelon form of [M | I] is [I | M^-1] exactly when M is
+        # invertible; otherwise a pivot falls into the right half
         n = self.n
         one, zero = self.field.one, self.field.zero
-        aug = [
-            list(self.rows[i]) + [one if i == j else zero for j in range(n)]
-            for i in range(n)
-        ]
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if aug[r][col]), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = aug[row][col].inverse()
-            aug[row] = [v * inv for v in aug[row]]
-            for r in range(n):
-                if r != row and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-            row += 1
-        return Matrix(self.field, [r[n:] for r in aug])
+        tracker = SpanTracker(self.field, 2 * n)
+        for i, row in enumerate(self.rows):
+            tracker._insert(list(row) + [one if i == j else zero for j in range(n)])
+        if tracker.pivots[-1] != n - 1:
+            raise SingularMatrixError("matrix is singular")
+        return Matrix(self.field, [r[n:] for r in tracker.rows])
 
     def rank(self) -> int:
-        reduced, pivots = rref(self.field, [list(r) for r in self.rows])
-        return len(pivots)
+        return row_rank(self.field, self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -197,32 +179,17 @@ class Matrix:
 
 def rref(field: Field, rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if not rows:
         return [], []
-    width = len(rows[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(width):
-        piv = next((r for r in range(row, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = rows[row][col].inverse()
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    return rows[:row], pivots
+    tracker = SpanTracker(field, len(rows[0]))
+    for row in rows:
+        tracker.add(row)
+    return tracker.rows, tracker.pivots
 
 
 def row_rank(field: Field, rows) -> int:
-    return len(rref(field, [list(r) for r in rows])[1])
+    return len(rref(field, rows)[1])
 
 
 @dataclass(frozen=True)
@@ -256,27 +223,13 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DimensionMismatchError("ragged system")
-    aug = [[field.scalar(v) for v in row] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(width):
-        piv = next((r for r in range(row, len(aug)) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    for r in range(row, len(aug)):
-        if aug[r][width]:
-            return None
+    # [A | b] is inconsistent exactly when a pivot lands in the b column
+    tracker = SpanTracker(field, width + 1)
+    for row, b in zip(rows, rhs):
+        tracker.add(row + [b])
+    aug, pivots = tracker.rows, tracker.pivots
+    if pivots and pivots[-1] == width:
+        return None
     zero = field.zero
     point = [zero] * width
     for r, col in enumerate(pivots):
@@ -292,9 +245,21 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
     return SolveResult(tuple(point), tuple(kernel))
 
 
+def _reduce(vec: list, rows: list[list], pivots: list[int]) -> list:
+    """Subtract from ``vec`` its components along reduced echelon ``rows``
+    (pivot entries 1).  Works on Scalars, and on raw ints modulo p."""
+    for row, piv in zip(rows, pivots):
+        f = vec[piv]
+        if f:
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return vec
+
+
 class SpanTracker:
     """Incremental row space over a field, kept in reduced echelon form.
 
+    This is the package's one elimination routine: ``rref``, ``solve``,
+    ``Matrix.det`` and ``Matrix.inverse`` insert rows and read off the result.
     Deterministic: the resulting basis depends only on the insertion order.
     """
 
@@ -304,24 +269,24 @@ class SpanTracker:
         self.rows: list[list[Scalar]] = []
         self.pivots: list[int] = []
 
-    def _reduce(self, vec) -> list[Scalar]:
-        vec = [self.field.scalar(v) for v in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            if vec[piv]:
-                f = vec[piv]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        vec = [self.field.scalar(v) for v in vec]
+        return not any(_reduce(vec, self.rows, self.pivots))
 
     def add(self, vec) -> bool:
         """Insert ``vec``; True if it enlarged the span."""
-        red = self._reduce(vec)
+        return self._insert([self.field.scalar(v) for v in vec]) is not None
+
+    def _insert(self, vec: list[Scalar]):
+        """Insert ``vec``, a list of scalars of this field.  Returns None if it
+        was already in the span, else the pivot value it was divided by and
+        the number of rows it was placed above."""
+        red = _reduce(vec, self.rows, self.pivots)
         piv = next((i for i, v in enumerate(red) if v), None)
         if piv is None:
-            return False
-        inv = red[piv].inverse()
+            return None
+        pval = red[piv]
+        inv = pval.inverse()
         red = [v * inv for v in red]
         for i, row in enumerate(self.rows):
             if row[piv]:
@@ -330,7 +295,7 @@ class SpanTracker:
         pos = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.rows.insert(pos, red)
         self.pivots.insert(pos, piv)
-        return True
+        return pval, len(self.pivots) - 1 - pos
 
     @property
     def dim(self) -> int:

@@ -288,6 +288,7 @@ def test_verify_isomorphism_homothety():
 def test_isomorphism_search_self():
     m = isomorphism_search(j2(F3), j2(F3))
     assert m is not None
+    assert m.is_invertible()
     assert verify_isomorphism(j2(F3), j2(F3), m)
 
 
@@ -299,6 +300,7 @@ def test_isomorphism_search_swap():
     A, B = c_family(F3, 1, 1, 0), c_family(F3, 1, 0, 1)
     m = isomorphism_search(A, B)
     assert m is not None
+    assert m.is_invertible()
     assert verify_isomorphism(A, B, m)
 
 

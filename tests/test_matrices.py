@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,67 @@ def test_dimension_mismatch_rejected():
 
     with pytest.raises(DimensionMismatchError):
         Matrix(rationals, [[1]]) * Matrix(rationals, [[1, 0], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# det / rank / inverse / solve share one elimination routine; these checks
+# compare it with formulas that need no elimination at all
+# ---------------------------------------------------------------------------
+
+
+def leibniz_det(field, rows):
+    n = len(rows)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = field.one if inversions % 2 == 0 else -field.one
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def dot(field, row, x):
+    return sum((a * b for a, b in zip(row, x)), field.zero)
+
+
+@st.composite
+def square_systems(draw):
+    field = draw(st.sampled_from([rationals, f3, f5, Field.gf(7)]))
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-2, 2)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # a row equal to a combination of two others makes singular cases common
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        c = draw(entries)
+        rows[k] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    x0 = draw(st.lists(entries, min_size=n, max_size=n))
+    rhs = draw(st.lists(entries, min_size=n, max_size=n))
+    return field, Matrix(field, rows), [field.scalar(v) for v in x0], rhs
+
+
+@given(square_systems())
+def test_elimination_against_independent_oracles(system):
+    field, m, x0, rhs = system
+    n = m.n
+    det = m.det()
+    assert det == leibniz_det(field, m.rows)
+    assert (m.rank() == n) == bool(det)
+    if det:
+        assert m * m.inverse() == Matrix.identity(field, n)
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    consistent_rhs = [dot(field, row, x0) for row in m.rows]
+    assert solve(field, m.rows, consistent_rhs) is not None
+    for b in (consistent_rhs, rhs):
+        sol = solve(field, m.rows, b)
+        if sol is None:
+            assert not det
+            continue
+        assert [dot(field, row, sol.point) for row in m.rows] == [field.scalar(v) for v in b]
+        assert len(sol.kernel) == n - m.rank()
+        for k in sol.kernel:
+            assert any(k)
+            assert all(not dot(field, row, k) for row in m.rows)

@@ -243,3 +243,14 @@ def test_witness_json_shape():
     assert set(payload) == {"title", "verdict", "steps"}
     for step in payload["steps"]:
         assert set(step) == {"step", "check", "expected", "actual"}
+
+
+def test_empty_certificate_fails():
+    from isotopelab import Certificate
+
+    cert = Certificate("x")
+    assert not cert.verdict
+    assert not cert.as_dict()["verdict"]
+    assert cert.render().endswith("verdict: FAIL (0/0 checks)")
+    cert.check("one real check", True)
+    assert cert.verdict
