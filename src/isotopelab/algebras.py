@@ -22,6 +22,25 @@ from .fields import Field, Scalar
 from .matrices import Matrix, SpanTracker, _reduce, row_rank, solve
 
 
+def _contract(table, u, v, zero) -> list:
+    """Coordinates of u v = sum_{i,j,k} u_i v_j c_ijk e_k.  Works on Scalars,
+    and on raw ints modulo p, which it leaves unreduced."""
+    out = [zero] * len(table)
+    for ui, row in zip(u, table):
+        if not ui:
+            continue
+        for vj, cell in zip(v, row):
+            if not vj:
+                continue
+            coeff = ui * vj
+            k = 0  # a bare counter: measurably faster than enumerate here
+            for c in cell:
+                if c:
+                    out[k] += coeff * c
+                k += 1
+    return out
+
+
 class Algebra:
     """Structure-constant algebra over an exact field."""
 
@@ -69,21 +88,8 @@ class Algebra:
         return [self.basis_element(i) for i in range(self.n)]
 
     def mul_coords(self, u, v) -> tuple[Scalar, ...]:
-        """Tensor contraction: coordinates of the product of two row vectors."""
-        zero = self.field.zero
-        out = [zero] * self.n
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row_i = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                coeff = ui * vj
-                for k, c in enumerate(row_i[j]):
-                    if c:
-                        out[k] = out[k] + coeff * c
-        return tuple(out)
+        """Coordinates of the product of two row vectors."""
+        return tuple(_contract(self.table, u, v, self.field.zero))
 
     def name_of(self, i: int) -> str:
         return self.names[i] if self.names is not None else f"e{i + 1}"
@@ -196,34 +202,16 @@ class Element:
         return Element(self.algebra, m.apply(self.coords))
 
     def right_mult_matrix(self) -> Matrix:
-        """Matrix of x -> x * self; row i is the image of basis element i."""
+        """Matrix of x -> x * self; row i is e_i * self."""
         A = self.algebra
-        zero = A.field.zero
-        rows = []
-        for i in range(A.n):
-            acc = [zero] * A.n
-            for j, vj in enumerate(self.coords):
-                if vj:
-                    for k, c in enumerate(A.table[i][j]):
-                        if c:
-                            acc[k] = acc[k] + vj * c
-            rows.append(acc)
-        return Matrix(A.field, rows)
+        basis = Matrix.identity(A.field, A.n).rows
+        return Matrix(A.field, [A.mul_coords(e, self.coords) for e in basis])
 
     def left_mult_matrix(self) -> Matrix:
-        """Matrix of x -> self * x; row i is the image of basis element i."""
+        """Matrix of x -> self * x; row i is self * e_i."""
         A = self.algebra
-        zero = A.field.zero
-        rows = []
-        for i in range(A.n):
-            acc = [zero] * A.n
-            for j, vj in enumerate(self.coords):
-                if vj:
-                    for k, c in enumerate(A.table[j][i]):
-                        if c:
-                            acc[k] = acc[k] + vj * c
-            rows.append(acc)
-        return Matrix(A.field, rows)
+        basis = Matrix.identity(A.field, A.n).rows
+        return Matrix(A.field, [A.mul_coords(self.coords, e) for e in basis])
 
     @property
     def is_zero(self) -> bool:
@@ -393,56 +381,42 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
         )
     n = A.n
     tensor = _int_tensor(A)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
     found: list[tuple[Element, ...]] = []
     for k in range(1, n):
         for rows in _subspace_bases(p, n, k):
-            # normalize to echelon form for membership reduction
             pivots = [next(c for c in range(n) if row[c]) for row in rows]
-            closed = True
-            for w in rows:
-                if not closed:
-                    break
-                for i in range(n):
-                    # w * e_i and e_i * w
-                    prod_r = [0] * n
-                    prod_l = [0] * n
-                    for j in range(n):
-                        if w[j]:
-                            cell_r = tensor[j][i]
-                            cell_l = tensor[i][j]
-                            for t in range(n):
-                                if cell_r[t]:
-                                    prod_r[t] += w[j] * cell_r[t]
-                                if cell_l[t]:
-                                    prod_l[t] += w[j] * cell_l[t]
-                    # rows have pivot 1, so the ints need no reduction mod p
-                    # until the membership test
-                    if any(v % p for v in _reduce(prod_r, rows, pivots)) or any(
-                        v % p for v in _reduce(prod_l, rows, pivots)
-                    ):
-                        closed = False
-                        break
+            # rows have pivot 1, so the products need no reduction mod p
+            # until the membership test
+            closed = all(
+                not any(v % p for v in _reduce(_contract(tensor, w, e, 0), rows, pivots))
+                and not any(v % p for v in _reduce(_contract(tensor, e, w, 0), rows, pivots))
+                for w in rows
+                for e in units
+            )
             if closed:
                 found.append(tuple(A.element(row) for row in rows))
     return found
 
 
+def _preserves_products(A: Algebra, B: Algebra, phi: Matrix, psi: Matrix, xi: Matrix) -> bool:
+    """Whether (e_i phi)(e_j psi) = (e_i e_j) xi in B for every basis pair of
+    A (enough, by bilinearity); the maps share one field and size."""
+    if A.field != B.field or A.n != B.n:
+        return False
+    if phi.field != A.field or phi.n != A.n:
+        return False
+    return all(
+        B.mul_coords(phi.row(i), psi.row(j)) == xi.apply(A.table[i][j])
+        for i in range(A.n)
+        for j in range(A.n)
+    )
+
+
 def verify_isomorphism(A: Algebra, B: Algebra, xi: Matrix) -> bool:
     """Whether the invertible map sending basis element i of A to row i of
     ``xi`` (coordinates in B) is multiplicative on all basis pairs."""
-    if A.field != B.field or A.n != B.n:
-        return False
-    if xi.field != A.field or xi.n != A.n:
-        return False
-    if not xi.is_invertible():
-        return False
-    for i in range(A.n):
-        for j in range(A.n):
-            lhs = xi.apply(A.table[i][j])
-            rhs = B.mul_coords(xi.row(i), xi.row(j))
-            if lhs != rhs:
-                return False
-    return True
+    return xi.is_invertible() and _preserves_products(A, B, xi, xi, xi)
 
 
 def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
@@ -477,6 +451,10 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
 
 
 def _int_is_multiplicative(xi, ta, tb, p: int, n: int) -> bool:
+    # Written out beside _contract on purpose: it compares one coordinate at
+    # a time and returns at the first mismatch.  Almost every candidate of a
+    # full scan fails early, so comparing whole products through _contract
+    # makes the scans of non-isomorphic pairs markedly slower.
     for i in range(n):
         xii = xi[i]
         for j in range(n):

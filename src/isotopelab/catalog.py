@@ -270,7 +270,7 @@ def canonicalize_C(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Canonicalizati
         target = c_rho(field, rho)
         kind, params = "Crho", (rho,)
         change = Matrix.diagonal(field, [field.one, beta / alpha, gamma / alpha])
-        cert.check(f"rho = beta gamma / alpha = {rho}", True, actual=rho)
+        cert.check(f"rho = beta gamma / alpha = {rho}", rho * alpha == beta * gamma, actual=rho)
     elif not beta and not gamma:
         omega = field.sqrt(alpha)
         target = c_family(field, 1, 0, 0)
@@ -287,7 +287,10 @@ def canonicalize_C(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Canonicalizati
                 field,
                 [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
             )
-            cert.check("swap the two nil basis elements", True)
+            cert.check(
+                "swap the two nil basis elements",
+                verify_isomorphism(c_family(field, alpha, gamma, 0), source, swap),
+            )
             change = (
                 Matrix.diagonal(field, [field.one, gamma / alpha, gamma.inverse()])
                 * swap

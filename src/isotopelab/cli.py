@@ -17,7 +17,6 @@ from .algebras import (
     ideal_search_exhaustive,
     is_commutative,
     is_jordan,
-    is_simple_closure,
     envelope_dimension,
     isomorphism_search,
 )
@@ -97,6 +96,24 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
         print(text)
 
 
+def _nil_summary(report) -> tuple[dict, str]:
+    """JSON fields and the text line of a nil-rank report; a rational
+    algebra reduced mod p says so in both."""
+    payload = {
+        "rank": report.rank,
+        "method": report.method,
+        "closure_caveat": report.closure_caveat,
+        "witnesses": [str(w) for w in report.witnesses],
+    }
+    line = f"nil-rank: {report.rank}  [{report.method}]"
+    if report.closure_caveat:
+        line += " (closure caveat)"
+    if report.reduced_mod is not None:
+        payload["reduced_mod"] = report.reduced_mod
+        line += f" (reduced mod {report.reduced_mod})"
+    return payload, line
+
+
 def _cmd_analyze(args) -> int:
     A = parse_algebra_file(args.file)
     commutative = is_commutative(A)
@@ -109,7 +126,8 @@ def _cmd_analyze(args) -> int:
         except UnsupportedCharacteristicError:
             jordan = f"unsupported ({A.field})"
     env = envelope_dimension(A)
-    simple = is_simple_closure(A)
+    # a full envelope forces a nonzero product
+    simple = env == A.n * A.n
     if A.field.p is not None and A.n <= 4 and A.field.p <= 7:
         ideals = ideal_search_exhaustive(A)
         ideal_note = "none found" if not ideals else f"found {len(ideals)}"
@@ -117,7 +135,7 @@ def _cmd_analyze(args) -> int:
     else:
         ideal_note = "skipped (needs gf with n <= 4, p <= 7)"
         ideal_list = None
-    report = nil_rank(A, p=args.p)
+    nil_payload, nil_line = _nil_summary(nil_rank(A, p=args.p))
     payload = {
         "file": args.file,
         "field": str(A.field),
@@ -130,14 +148,8 @@ def _cmd_analyze(args) -> int:
         "simple_closure": simple,
         "ideal_search": ideal_note,
         "ideals": ideal_list,
-        "nil_rank": {
-            "rank": report.rank,
-            "method": report.method,
-            "closure_caveat": report.closure_caveat,
-            "witnesses": [str(w) for w in report.witnesses],
-        },
+        "nil_rank": nil_payload,
     }
-    caveat = " (closure caveat)" if report.closure_caveat else ""
     text = "\n".join(
         [
             f"file: {args.file}",
@@ -149,8 +161,8 @@ def _cmd_analyze(args) -> int:
             f"jordan: {jordan}",
             f"simple (closure criterion): {'yes' if simple else 'no'}  [envelope {env}/{A.n * A.n}]",
             f"ideal search (exhaustive): {ideal_note}",
-            f"nil-rank: {report.rank}  [{report.method}]{caveat}",
-            "nil witnesses: " + ", ".join(str(w) for w in report.witnesses),
+            nil_line,
+            "nil witnesses: " + ", ".join(nil_payload["witnesses"]),
         ]
     )
     _emit(payload, args.json, text)
@@ -220,19 +232,8 @@ def _cmd_iso_search(args) -> int:
 
 def _cmd_nilrank(args) -> int:
     A = parse_algebra_file(args.file)
-    report = nil_rank(A, p=args.p)
-    payload = {
-        "rank": report.rank,
-        "method": report.method,
-        "closure_caveat": report.closure_caveat,
-        "witnesses": [str(w) for w in report.witnesses],
-    }
-    caveat = " (closure caveat)" if report.closure_caveat else ""
-    text = (
-        f"nil-rank: {report.rank}  [{report.method}]{caveat}\n"
-        + "witnesses: "
-        + ", ".join(str(w) for w in report.witnesses)
-    )
+    payload, line = _nil_summary(nil_rank(A, p=args.p))
+    text = line + "\nwitnesses: " + ", ".join(payload["witnesses"])
     _emit(payload, args.json, text)
     return 0
 

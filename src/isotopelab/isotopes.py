@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, Element
+from .algebras import Algebra, Element, _preserves_products
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -98,18 +98,7 @@ def standard_isotope(A: Algebra, f: Matrix) -> Algebra:
 def verify_isotopy(A: Algebra, B: Algebra, lam: Isotopy) -> bool:
     """Whether (phi, psi, xi) satisfies (x phi) o (y psi) = (x y) xi on all
     basis pairs of A (enough, by bilinearity)."""
-    if A.field != B.field or A.n != B.n:
-        return False
-    if lam.phi.field != A.field or lam.phi.n != A.n:
-        return False
-    for i in range(A.n):
-        pi = lam.phi.row(i)
-        for j in range(A.n):
-            lhs = B.mul_coords(pi, lam.psi.row(j))
-            rhs = lam.xi.apply(A.table[i][j])
-            if lhs != rhs:
-                return False
-    return True
+    return _preserves_products(A, B, lam.phi, lam.psi, lam.xi)
 
 
 def r_mult_report(a: Element) -> RMultReport:

@@ -13,9 +13,9 @@ can miss nil elements that only appear over the algebraic closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .algebras import Algebra, Element, _int_tensor
+from .algebras import Algebra, Element, _contract, _int_tensor
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Scalar
@@ -32,13 +32,16 @@ class NilReport:
     """Nil-rank with independent witnesses, each squaring to zero.
 
     ``closure_caveat`` is True when the result came from enumerating a
-    field that is not algebraically closed.
+    field that is not algebraically closed.  ``reduced_mod`` is the prime p
+    when a rational algebra was reduced mod p first; the witnesses then
+    live in gf p.
     """
 
     rank: int
     witnesses: tuple[Element, ...]
     method: str
     closure_caveat: bool
+    reduced_mod: int | None = None
 
 
 def is_nil_index2(a: Element) -> bool:
@@ -62,19 +65,7 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
     for vec in itertools.product(range(p), repeat=n):
         if not any(vec):
             continue
-        sq = [0] * n
-        for i in range(n):
-            vi = vec[i]
-            if vi:
-                ti = tensor[i]
-                for j in range(n):
-                    vj = vec[j]
-                    if vj:
-                        row = ti[j]
-                        c = vi * vj
-                        for k in range(n):
-                            if row[k]:
-                                sq[k] += c * row[k]
+        sq = _contract(tensor, vec, vec, 0)
         if all(s % p == 0 for s in sq):
             out.append(A.element(vec))
     return out
@@ -141,7 +132,8 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
     Prime-field algebras are enumerated directly.  Rational algebras in
     literal C(alpha, beta, gamma) form use the exact criterion; any other
     rational algebra is reduced mod an odd prime (p, or the smallest
-    feasible one) and enumerated, with the closure caveat set.
+    feasible one) and enumerated, with the closure caveat and
+    ``reduced_mod`` set.
     """
     if A.field.p is not None:
         return nil_rank_bruteforce(A)
@@ -154,7 +146,7 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
             p += 2
     elif not _reducible(A, p):
         raise DomainError(f"structure constants are not reducible mod {p}")
-    return nil_rank_bruteforce(A.reduce_mod(p))
+    return replace(nil_rank_bruteforce(A.reduce_mod(p)), reduced_mod=p)
 
 
 def _reducible(A: Algebra, p: int) -> bool:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from isotopelab import (
     Algebra,
@@ -24,6 +26,7 @@ from isotopelab import (
     is_simple_closure,
     isomorphism_search,
     j2,
+    nil_set_bruteforce,
     verify_isomorphism,
 )
 
@@ -88,6 +91,56 @@ def test_coords_of_product_via_rmul_matrix():
         a = J.element([rng.randint(-4, 4) for _ in range(3)])
         b = J.element([rng.randint(-4, 4) for _ in range(3)])
         assert (a * b).coords == a.apply(b.right_mult_matrix()).coords
+
+
+def _triple_sum(c, u, v):
+    """Oracle for the product: coordinate k of u v is sum_ij u_i v_j c_ijk."""
+    n = len(c)
+    return [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n)) for k in range(n)]
+
+
+def _values(field, xs):
+    return [x % field.p for x in xs] if field.p else list(xs)
+
+
+@st.composite
+def noncommutative_tensors(draw):
+    """A field among QQ, gf 3, gf 5, and a raw n x n x n tensor (n = 2, 3)
+    with c_ij != c_ji for some pair; zeros are drawn often."""
+    field = draw(st.sampled_from((QQ, F3, F5)))
+    n = draw(st.integers(2, 3))
+    if field.p:
+        entry = st.integers(0, field.p - 1)
+    else:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entries = st.one_of(st.just(0), entry)
+    c = [[draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)] for _ in range(n)]
+    assume(any(c[i][j] != c[j][i] for i in range(n) for j in range(n)))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    return field, c, draw(vectors), draw(vectors)
+
+
+@given(noncommutative_tensors())
+def test_noncommutative_products_against_triple_sum(case):
+    field, c, u, v = case
+    A = Algebra(field, c)
+    n = A.n
+    got = [s.value for s in A.mul_coords(A.element(u).coords, A.element(v).coords)]
+    assert got == _values(field, _triple_sum(c, u, v))
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    rv = A.element(v).right_mult_matrix()
+    lv = A.element(v).left_mult_matrix()
+    for i, e in enumerate(units):
+        assert [s.value for s in rv.row(i)] == _values(field, _triple_sum(c, e, v))
+        assert [s.value for s in lv.row(i)] == _values(field, _triple_sum(c, v, e))
+    if field.p:
+        p = field.p
+        expected = [
+            vec
+            for vec in itertools.product(range(p), repeat=n)
+            if any(vec) and not any(x % p for x in _triple_sum(c, vec, vec))
+        ]
+        assert [coords(e) for e in nil_set_bruteforce(A)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +301,12 @@ def test_ideal_search_budget():
 
 
 def test_ideal_closure_property():
-    # every returned subspace really absorbs multiplication
-    for ids_algebra in (c_family(F5, 0, 1, 1), c_family(F3, 0, 0, 0)):
+    # every returned subspace really absorbs multiplication; in the
+    # non-commutative input e1 e1 = e1, e1 e2 = e3, span(e2) is a right ideal
+    # but not a left one
+    noncomm = Algebra.from_products(F3, 3, {(0, 0): [1, 0, 0], (0, 1): [0, 0, 1]})
+    assert any(len(basis) == 2 for basis in ideal_search_exhaustive(noncomm))
+    for ids_algebra in (c_family(F5, 0, 1, 1), c_family(F3, 0, 0, 0), noncomm):
         for basis in ideal_search_exhaustive(ids_algebra):
             from isotopelab import SpanTracker
 

@@ -37,6 +37,24 @@ def test_analyze_json(capsys):
     assert payload["nil_rank"]["rank"] == 2
 
 
+def test_nil_rank_output_names_the_reduction_prime(capsys):
+    g2 = str(ALGEBRAS / "g2.alg")
+    _, out, _ = run(capsys, "nilrank", g2)
+    assert out.splitlines()[0] == "nil-rank: 2  [bruteforce-fp] (closure caveat) (reduced mod 3)"
+    _, out, _ = run(capsys, "nilrank", g2, "--json")
+    assert json.loads(out)["reduced_mod"] == 3
+    _, out, _ = run(capsys, "analyze", g2)
+    assert "nil-rank: 2  [bruteforce-fp] (closure caveat) (reduced mod 3)\n" in out
+    _, out, _ = run(capsys, "analyze", g2, "--json")
+    assert json.loads(out)["nil_rank"]["reduced_mod"] == 3
+    # an exact C-form report is unchanged
+    j2_file = str(ALGEBRAS / "j2.alg")
+    _, out, _ = run(capsys, "nilrank", j2_file)
+    assert out.splitlines()[0] == "nil-rank: 2  [exact-cfamily]"
+    _, out, _ = run(capsys, "nilrank", j2_file, "--json")
+    assert "reduced_mod" not in json.loads(out)
+
+
 def test_analyze_gf_algebra_runs_ideal_search(tmp_path, capsys):
     path = tmp_path / "c011.alg"
     path.write_text(serialize_algebra(c_family(Field.gf(5), 0, 1, 1)))

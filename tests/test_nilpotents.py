@@ -160,5 +160,15 @@ def test_nil_rank_dispatcher():
     assert report.rank == 2 and report.closure_caveat
     report = nil_rank(g_n(QQ, 2), p=7)
     assert report.rank == 2
+    assert report.reduced_mod == 7
     with pytest.raises(DomainError):
         nil_rank(c2(QQ), p=4)
+
+
+def test_nil_rank_names_the_reduction_prime():
+    # only a rational algebra that was reduced mod p carries the prime
+    report = nil_rank(g_n(QQ, 2))
+    assert report.reduced_mod == 3
+    assert all(w.algebra.field.p == 3 for w in report.witnesses)
+    assert nil_rank(c_rho(QQ, -2)).reduced_mod is None
+    assert nil_rank(j2(F5)).reduced_mod is None
