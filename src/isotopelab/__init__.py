@@ -13,8 +13,6 @@ from .algebras import (
     is_jordan,
     is_simple_closure,
     isomorphism_search,
-    left_mult_matrix,
-    right_mult_matrix,
     span_rank,
     verify_isomorphism,
 )

@@ -91,9 +91,6 @@ class Algebra:
         """Coordinates of the product of two row vectors."""
         return tuple(_contract(self.table, u, v, self.field.zero))
 
-    def name_of(self, i: int) -> str:
-        return self.names[i] if self.names is not None else f"e{i + 1}"
-
     def relabel(self, perm, names=None) -> "Algebra":
         """Permuted copy: old basis element i becomes new basis element perm[i]."""
         if sorted(perm) != list(range(self.n)):
@@ -120,11 +117,6 @@ class Algebra:
             [[gf.scalar(c.value) for c in cell] for cell in row] for row in self.table
         ]
         return Algebra(gf, table, names=self.names)
-
-    def has_nonzero_product(self) -> bool:
-        return any(
-            bool(c) for row in self.table for cell in row for c in cell
-        )
 
     def nonzero_entries(self):
         """Yield ``(i, j, k, scalar)`` for every nonzero tensor entry (0-based)."""
@@ -232,14 +224,6 @@ class Element:
         return f"Element{self}"
 
 
-def right_mult_matrix(a: Element) -> Matrix:
-    return a.right_mult_matrix()
-
-
-def left_mult_matrix(a: Element) -> Matrix:
-    return a.left_mult_matrix()
-
-
 def associator(u: Element, v: Element, w: Element) -> Element:
     """(u, v, w) = (uv)w - u(vw)."""
     return (u * v) * w - u * (v * w)
@@ -338,10 +322,9 @@ def envelope_dimension(A: Algebra) -> int:
 
 
 def is_simple_closure(A: Algebra) -> bool:
-    """Simplicity after base change to the algebraic closure: nonzero
-    multiplication and a full multiplication envelope (dimension n^2)."""
-    if not A.has_nonzero_product():
-        return False
+    """Simplicity after base change to the algebraic closure: a full
+    multiplication envelope (dimension n^2), which also forces a nonzero
+    product."""
     return envelope_dimension(A) == A.n * A.n
 
 
@@ -420,11 +403,15 @@ def verify_isomorphism(A: Algebra, B: Algebra, xi: Matrix) -> bool:
 
 
 def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
-    """Exhaustive scan for an isomorphism between two small prime-field
-    algebras, in lexicographic entry order.  Feasible range: n <= 3, p <= 5.
+    """Search for an isomorphism between two small prime-field algebras.
+    Feasible range: n <= 3, p <= 5.
 
-    Returns the first matrix that passes :func:`verify_isomorphism`, or None
-    after the full scan.
+    The rows of xi are fixed one at a time, each running through F_p^n in
+    lexicographic order.  The equation (e_i xi)(e_j xi) = (e_i e_j) xi is
+    checked as soon as rows i, j and every row k with c_ijk != 0 are fixed,
+    and a failing partial matrix is dropped with all its completions.  So
+    the result is the first matrix of the flat lexicographic scan that
+    passes :func:`verify_isomorphism`, or None.
     """
     if A.field != B.field:
         raise FieldMismatchError("isomorphism search requires one common field")
@@ -440,40 +427,37 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
         )
     ta = _int_tensor(A)
     tb = _int_tensor(B)
-    for flat in itertools.product(range(p), repeat=n * n):
-        xi = [list(flat[r * n : (r + 1) * n]) for r in range(n)]
-        # verify_isomorphism rejects the singular candidates that get here
-        if _int_is_multiplicative(xi, ta, tb, p, n):
-            m = Matrix(A.field, xi)
-            if verify_isomorphism(A, B, m):
-                return m
-    return None
-
-
-def _int_is_multiplicative(xi, ta, tb, p: int, n: int) -> bool:
-    # Written out beside _contract on purpose: it compares one coordinate at
-    # a time and returns at the first mismatch.  Almost every candidate of a
-    # full scan fails early, so comparing whole products through _contract
-    # makes the scans of non-isomorphic pairs markedly slower.
+    # checks[r]: the pairs (i, j, support of e_i e_j) whose last row is r
+    checks = [[] for _ in range(n)]
     for i in range(n):
-        xii = xi[i]
         for j in range(n):
-            xij = xi[j]
-            cell = ta[i][j]
-            for k in range(n):
-                lhs = sum(cell[t] * xi[t][k] for t in range(n))
-                rhs = 0
-                for a in range(n):
-                    va = xii[a]
-                    if va:
-                        row = tb[a]
-                        for b in range(n):
-                            vb = xij[b]
-                            if vb and row[b][k]:
-                                rhs += va * vb * row[b][k]
-                if (lhs - rhs) % p:
-                    return False
-    return True
+            support = [(k, c) for k, c in enumerate(ta[i][j]) if c]
+            checks[max([i, j] + [k for k, _ in support])].append((i, j, support))
+    candidates = list(itertools.product(range(p), repeat=n))
+    xi: list[tuple[int, ...]] = []
+
+    def holds(i, j, support) -> bool:
+        lhs = _contract(tb, xi[i], xi[j], 0)
+        return not any(
+            (lhs[t] - sum(c * xi[k][t] for k, c in support)) % p for t in range(n)
+        )
+
+    def extend() -> Matrix | None:
+        r = len(xi)
+        if r == n:
+            # verify_isomorphism rejects the singular candidates that get here
+            m = Matrix(A.field, xi)
+            return m if verify_isomorphism(A, B, m) else None
+        for row in candidates:
+            xi.append(row)
+            if all(holds(*check) for check in checks[r]):
+                found = extend()
+                if found is not None:
+                    return found
+            xi.pop()
+        return None
+
+    return extend()
 
 
 def span_rank(elements) -> int:

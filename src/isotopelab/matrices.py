@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatchError,
@@ -77,43 +76,9 @@ class Matrix:
             )
         return Matrix(self.field, out)
 
-    def __rmul__(self, other):
-        # scalar * matrix
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = self.field.scalar(other)
-            return Matrix(self.field, [[s * v for v in row] for row in self.rows])
-        return NotImplemented
-
     def scale(self, value) -> "Matrix":
         s = self.field.scalar(value)
         return Matrix(self.field, [[s * v for v in row] for row in self.rows])
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_compatible(other)
-        return Matrix(
-            self.field,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_compatible(other)
-        return Matrix(
-            self.field,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __neg__(self):
-        return Matrix(self.field, [[-v for v in row] for row in self.rows])
 
     def apply(self, coords) -> tuple[Scalar, ...]:
         """Row vector times matrix: image of ``coords`` under this operator."""
@@ -300,9 +265,6 @@ class SpanTracker:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def basis_rows(self) -> list[tuple[Scalar, ...]]:
-        return [tuple(r) for r in self.rows]
 
 
 def random_invertible(field: Field, n: int, seed: int) -> Matrix:

@@ -274,6 +274,8 @@ def test_is_simple_closure_examples():
     assert not is_simple_closure(c_family(QQ, 0, 1, 1))
     zero1 = Algebra.from_products(QQ, 1, {})
     assert not is_simple_closure(zero1)
+    zero3 = Algebra.from_products(QQ, 3, {})
+    assert not is_simple_closure(zero3)
     field_as_algebra = Algebra.from_products(QQ, 1, {(0, 0): [1]})
     assert is_simple_closure(field_as_algebra)
 
@@ -359,6 +361,43 @@ def test_isomorphism_search_swap():
     assert m is not None
     assert m.is_invertible()
     assert verify_isomorphism(A, B, m)
+
+
+@st.composite
+def search_pairs(draw):
+    """A 2-dimensional algebra A over gf 3 or gf 5 (any tensor, commutative
+    or not) and B, either a random tensor or a copy of A transported by an
+    invertible matrix P, so that P is an isomorphism A -> B."""
+    field = draw(st.sampled_from((F3, F5)))
+    rows = st.lists(st.integers(0, field.p - 1), min_size=2, max_size=2)
+    matrices = st.lists(rows, min_size=2, max_size=2)
+    tensors = st.lists(matrices, min_size=2, max_size=2)
+    A = Algebra(field, draw(tensors))
+    if draw(st.booleans()):
+        return A, Algebra(field, draw(tensors))
+    P = Matrix(field, draw(matrices))
+    assume(P.is_invertible())
+    Pi = P.inverse()
+    table = [
+        [list(P.apply(A.mul_coords(Pi.row(i), Pi.row(j)))) for j in range(2)]
+        for i in range(2)
+    ]
+    return A, Algebra(field, table)
+
+
+@given(search_pairs())
+def test_isomorphism_search_against_flat_scan(pair):
+    # the first matrix of the flat lexicographic scan accepted by
+    # verify_isomorphism, or None: the pruned search must return exactly it
+    A, B = pair
+    p, n = A.field.p, A.n
+    expected = None
+    for flat in itertools.product(range(p), repeat=n * n):
+        m = Matrix(A.field, [flat[r * n : (r + 1) * n] for r in range(n)])
+        if verify_isomorphism(A, B, m):
+            expected = m
+            break
+    assert isomorphism_search(A, B) == expected
 
 
 def test_isomorphism_search_budget():
