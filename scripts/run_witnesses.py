@@ -23,6 +23,7 @@ def main() -> int:
         ("theorem1", {"abg": (Fraction(2), Fraction(1), Fraction(4))}),
         ("theorem2", {}),
         ("prop1", {"n": 3}),
+        ("prop1", {"n": 8}),
         ("prop2", {"n": 3}),
     ]
     failures = 0

@@ -9,6 +9,7 @@ Everything is immutable and exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     UnsupportedCharacteristicError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, SpanTracker, _reduce, row_rank, solve
+from .matrices import Matrix, SpanTracker, _insert_residues, _reduce, row_rank, solve
 
 
 def _contract(table, u, v, zero) -> list:
@@ -294,18 +295,17 @@ def is_jordan(A: Algebra) -> bool:
     return True
 
 
+# Rational envelopes are first computed modulo this prime (see envelope_dimension).
+ENVELOPE_PRIME = 2**31 - 1
+
+
 def _flatten(m: Matrix) -> list[Scalar]:
     return [v for row in m.rows for v in row]
 
 
-def envelope_dimension(A: Algebra) -> int:
-    """Dimension of the associative span-closure of all left and right
-    multiplication operators under matrix products.
-
-    The closure is computed by a worklist: every newly independent operator
-    is multiplied on both sides by every generator.  The resulting dimension
-    does not depend on the generator order.
-    """
+def _exact_envelope_dimension(A: Algebra) -> int:
+    # worklist closure on Scalars: every newly independent operator is
+    # multiplied on both sides by every generator
     gens = []
     for b in A.basis():
         gens.append(b.right_mult_matrix())
@@ -319,6 +319,75 @@ def envelope_dimension(A: Algebra) -> int:
                 if tracker.add(_flatten(prod)):
                     work.append(prod)
     return tracker.dim
+
+
+def _residue_tensor(A: Algebra, p: int) -> list[list[list[int]]] | None:
+    """Residues mod p of a rational tensor, or None if a denominator
+    vanishes mod p."""
+    if any(c.value.denominator % p == 0 for row in A.table for cell in row for c in cell):
+        return None
+    return [
+        [[c.value.numerator * pow(c.value.denominator, -1, p) % p for c in cell] for cell in row]
+        for row in A.table
+    ]
+
+
+def _residue_envelope_dimension(tensor, p: int) -> int:
+    """Envelope dimension over F_p of a tensor of residues mod p.
+
+    The generators are read off the tensor: row i of R_{e_b} is c_ib. and
+    row i of L_{e_b} is c_bi.  Multiplying each newly independent operator
+    on the right by every generator is enough, since every word in the
+    generators is a generator times generators on the right.  Stops as soon
+    as the span is full.
+    """
+    n = len(tensor)
+    full = n * n
+    gens = [[c for i in range(n) for c in tensor[i][b]] for b in range(n)]
+    gens += [[c for i in range(n) for c in tensor[b][i]] for b in range(n)]
+    # columns of each generator, for the flat products m g
+    columns = [[g[k::n] for k in range(n)] for g in gens]
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    work = [g for g in gens if _insert_residues(g, rows, pivots, p)]
+    while work and len(rows) < full:
+        m = work.pop()
+        m_rows = [m[i * n:(i + 1) * n] for i in range(n)]
+        for cols in columns:
+            prod = [sum(map(operator.mul, r, col)) % p for r in m_rows for col in cols]
+            if _insert_residues(prod, rows, pivots, p):
+                if len(rows) == full:
+                    break
+                work.append(prod)
+    return len(rows)
+
+
+def _envelope(A: Algebra) -> tuple[int, int | None]:
+    """The envelope dimension, and the prime it was decided modulo when
+    that is a shortcut for a rational algebra (else None)."""
+    p = A.field.p
+    if p is not None:
+        return _residue_envelope_dimension(_int_tensor(A), p), None
+    full = A.n * A.n
+    tensor = _residue_tensor(A, ENVELOPE_PRIME)
+    if tensor is not None and _residue_envelope_dimension(tensor, ENVELOPE_PRIME) == full:
+        return full, ENVELOPE_PRIME
+    return _exact_envelope_dimension(A), None
+
+
+def envelope_dimension(A: Algebra) -> int:
+    """Dimension of the associative span-closure of all left and right
+    multiplication operators under matrix products.
+
+    Over F_p the closure runs on raw residues and is exact.  A rational
+    algebra is first reduced mod ``ENVELOPE_PRIME``: reduction is a ring map
+    on rationals whose denominators are prime to P, so the dimension mod P
+    is at most the dimension over QQ, which is at most n^2, and a full
+    closure mod P proves a full closure over QQ.  Otherwise (a denominator
+    divisible by P, or a closure mod P that is not full) the exact closure
+    over QQ decides.
+    """
+    return _envelope(A)[0]
 
 
 def is_simple_closure(A: Algebra) -> bool:

@@ -249,6 +249,10 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.field == other.field and self.value == other.value
         if isinstance(other, (int, Fraction)):
+            p = self.field.p
+            if p is not None and other.denominator % p == 0:
+                # not an element of F_p, so equal to none of them
+                return False
             return self.value == self.field.scalar(other).value
         return NotImplemented
 

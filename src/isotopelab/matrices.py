@@ -220,6 +220,28 @@ def _reduce(vec: list, rows: list[list], pivots: list[int]) -> list:
     return vec
 
 
+def _insert_residues(vec: list[int], rows: list[list[int]], pivots: list[int], p: int) -> bool:
+    """Insert the raw-int vector ``vec`` into the span of ``rows`` modulo p,
+    reducing mod p at every step; True if it enlarged the span.
+
+    ``rows`` is semi-echelon in insertion order: row r holds residue 1 at
+    ``pivots[r]`` and 0 at the pivots of all earlier rows.  That is enough to
+    reduce in that order, so an insert never touches the earlier rows.
+    """
+    vec = [a % p for a in vec]
+    for row, piv in zip(rows, pivots):
+        f = vec[piv]
+        if f:
+            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+    piv = next((i for i, v in enumerate(vec) if v), None)
+    if piv is None:
+        return False
+    inv = pow(vec[piv], -1, p)
+    rows.append([v * inv % p for v in vec])
+    pivots.append(piv)
+    return True
+
+
 class SpanTracker:
     """Incremental row space over a field, kept in reduced echelon form.
 

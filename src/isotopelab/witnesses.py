@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .algebras import (
     Algebra,
+    _envelope,
     associator,
     envelope_dimension,
     find_unit,
@@ -380,9 +381,12 @@ def witness_prop1(n: int, field: Field = QQ) -> Certificate:
         raise SearchBudgetExceededError("feasible range is 2 <= n <= 8")
     G = g_n(field, n)
     cert = Certificate(f"prop1: G_{n} is simple")
-    dim = envelope_dimension(G)
+    dim, prime = _envelope(G)
+    how = ""
+    if prime is not None:
+        how = f", decided mod P = {prime} (dim over F_P <= dim over QQ <= (n+1)^2)"
     cert.expect_equal(
-        "multiplication envelope has full dimension (n+1)^2", (n + 1) ** 2, dim
+        "multiplication envelope has full dimension (n+1)^2" + how, (n + 1) ** 2, dim
     )
     # a full envelope forces a nonzero product, so this is the whole criterion
     cert.check("simplicity over the closure (envelope criterion)", dim == (n + 1) ** 2)

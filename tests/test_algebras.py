@@ -1,8 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isotopelab import (
@@ -29,6 +30,7 @@ from isotopelab import (
     nil_set_bruteforce,
     verify_isomorphism,
 )
+from isotopelab.algebras import ENVELOPE_PRIME, _envelope
 
 QQ = Field.rationals()
 F3 = Field.gf(3)
@@ -278,6 +280,51 @@ def test_is_simple_closure_examples():
     assert not is_simple_closure(zero3)
     field_as_algebra = Algebra.from_products(QQ, 1, {(0, 0): [1]})
     assert is_simple_closure(field_as_algebra)
+
+
+# entry pools, zeros weighted up so that non-full envelopes (and with them
+# the exact fallback) come up often
+ENTRY_POOLS = {
+    "QQ ints": (QQ, [0, 0, 0, 1, -1, 2, -2]),
+    "QQ fractions": (QQ, [0, 0, 0, 1, Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4)]),
+    "gf 3": (F3, [0, 0, 1, 2]),
+    "gf 5": (F5, [0, 0, 0, 1, 2, 3, 4]),
+    "gf 7": (Field.gf(7), [0, 0, 0, 1, 3, 5, 6]),
+}
+
+
+@st.composite
+def small_tensor_algebras(draw):
+    field, pool = ENTRY_POOLS[draw(st.sampled_from(sorted(ENTRY_POOLS)))]
+    n = draw(st.integers(2, 3))
+    flat = draw(st.lists(st.sampled_from(pool), min_size=n**3, max_size=n**3))
+    table = [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    return Algebra(field, table)
+
+
+def scaled(A, factor):
+    return Algebra(A.field, [[[c * factor for c in cell] for cell in row] for row in A.table])
+
+
+# G_2 scaled by P reduces to the zero algebra mod P, and G_2 scaled by 1/P
+# does not reduce at all; over QQ both are isomorphic to G_2
+G2_SCALED = [scaled(g_n(QQ, 2), f) for f in (ENVELOPE_PRIME, Fraction(1, ENVELOPE_PRIME))]
+
+
+# the oracle takes up to a second on a full 3-dimensional rational example
+@settings(max_examples=25)
+@given(small_tensor_algebras())
+@example(G2_SCALED[0])
+@example(G2_SCALED[1])
+def test_envelope_dimension_matches_exact_oracle(A):
+    assert envelope_dimension(A) == envelope_dim_oracle(A)
+
+
+def test_envelope_names_the_prime_only_when_it_decided():
+    assert _envelope(g_n(QQ, 2)) == (9, ENVELOPE_PRIME)
+    assert _envelope(g_n(F5, 2)) == (9, None)
+    for A in G2_SCALED:
+        assert _envelope(A) == (9, None)
 
 
 # ---------------------------------------------------------------------------

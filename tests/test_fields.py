@@ -47,6 +47,17 @@ def test_fraction_coercion_into_gf():
         f5.scalar(Fraction(1, 5))
 
 
+def test_equality_with_fraction_outside_gf():
+    # 1/3 is not an element of F_3, so no residue equals it, and comparing
+    # must not raise
+    f3 = Field.gf(3)
+    for v in range(3):
+        assert not f3.scalar(v) == Fraction(1, 3)
+        assert f3.scalar(v) != Fraction(2, 3)
+    assert f5.scalar(3) == Fraction(1, 2)
+    assert f5.scalar(1) != Fraction(7, 10)
+
+
 def test_string_parsing():
     assert rationals.scalar("-3/2").value == Fraction(-3, 2)
     assert f5.scalar("-3/2").value == f5.scalar(Fraction(-3, 2)).value
