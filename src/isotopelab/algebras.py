@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedCharacteristicError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, SpanTracker, _insert_residues, _reduce, row_rank, solve
+from .matrices import Matrix, SpanTracker, _insert, _reduce, row_rank, solve
 
 
 def _contract(table, u, v, zero) -> list:
@@ -39,6 +39,18 @@ def _contract(table, u, v, zero) -> list:
                 if c:
                     out[k] += coeff * c
                 k += 1
+    return out
+
+
+def _combination(coeffs, cells, zero) -> list:
+    """sum_j coeffs_j cells_j: with coeffs v, the cells c_ij. give row i of
+    R_v and the cells c_ji. row i of L_v."""
+    out = [zero] * len(cells)
+    for vj, cell in zip(coeffs, cells):
+        if vj:
+            for k, c in enumerate(cell):
+                if c:
+                    out[k] += vj * c
     return out
 
 
@@ -195,16 +207,16 @@ class Element:
         return Element(self.algebra, m.apply(self.coords))
 
     def right_mult_matrix(self) -> Matrix:
-        """Matrix of x -> x * self; row i is e_i * self."""
+        """Matrix of x -> x * self; row i is e_i * self = sum_j v_j c_ij."""
         A = self.algebra
-        basis = Matrix.identity(A.field, A.n).rows
-        return Matrix(A.field, [A.mul_coords(e, self.coords) for e in basis])
+        zero = A.field.zero
+        return Matrix(A.field, [_combination(self.coords, A.table[i], zero) for i in range(A.n)])
 
     def left_mult_matrix(self) -> Matrix:
-        """Matrix of x -> self * x; row i is self * e_i."""
+        """Matrix of x -> self * x; row i is self * e_i = sum_j v_j c_ji."""
         A = self.algebra
-        basis = Matrix.identity(A.field, A.n).rows
-        return Matrix(A.field, [A.mul_coords(self.coords, e) for e in basis])
+        zero = A.field.zero
+        return Matrix(A.field, [_combination(self.coords, col, zero) for col in zip(*A.table)])
 
     @property
     def is_zero(self) -> bool:
@@ -304,26 +316,26 @@ def _flatten(m: Matrix) -> list[Scalar]:
 
 
 def _exact_envelope_dimension(A: Algebra) -> int:
-    # worklist closure on Scalars: every newly independent operator is
-    # multiplied on both sides by every generator
-    gens = []
-    for b in A.basis():
-        gens.append(b.right_mult_matrix())
-        gens.append(b.left_mult_matrix())
-    tracker = SpanTracker(A.field, A.n * A.n)
+    # the closure of _residue_envelope_dimension on Scalars and Matrix
+    # products: right products only, stopping once the span is full
+    gens = [m for b in A.basis() for m in (b.right_mult_matrix(), b.left_mult_matrix())]
+    full = A.n * A.n
+    tracker = SpanTracker(A.field, full)
     work = [g for g in gens if tracker.add(_flatten(g))]
-    while work:
-        m = work.pop(0)
+    while work and tracker.dim < full:
+        m = work.pop()
         for g in gens:
-            for prod in (m * g, g * m):
-                if tracker.add(_flatten(prod)):
-                    work.append(prod)
+            prod = m * g
+            if tracker.add(_flatten(prod)):
+                if tracker.dim == full:
+                    break
+                work.append(prod)
     return tracker.dim
 
 
-def _residue_tensor(A: Algebra, p: int) -> list[list[list[int]]] | None:
-    """Residues mod p of a rational tensor, or None if a denominator
-    vanishes mod p."""
+def _residues(A: Algebra, p: int) -> list[list[list[int]]] | None:
+    """The structure tensor as raw residues mod p, or None if a denominator
+    vanishes mod p.  A gf p tensor comes back as its residues."""
     if any(c.value.denominator % p == 0 for row in A.table for cell in row for c in cell):
         return None
     return [
@@ -349,13 +361,13 @@ def _residue_envelope_dimension(tensor, p: int) -> int:
     columns = [[g[k::n] for k in range(n)] for g in gens]
     rows: list[list[int]] = []
     pivots: list[int] = []
-    work = [g for g in gens if _insert_residues(g, rows, pivots, p)]
+    work = [g for g in gens if _insert(g, rows, pivots, p) is not None]
     while work and len(rows) < full:
         m = work.pop()
         m_rows = [m[i * n:(i + 1) * n] for i in range(n)]
         for cols in columns:
             prod = [sum(map(operator.mul, r, col)) % p for r in m_rows for col in cols]
-            if _insert_residues(prod, rows, pivots, p):
+            if _insert(prod, rows, pivots, p) is not None:
                 if len(rows) == full:
                     break
                 work.append(prod)
@@ -367,9 +379,9 @@ def _envelope(A: Algebra) -> tuple[int, int | None]:
     that is a shortcut for a rational algebra (else None)."""
     p = A.field.p
     if p is not None:
-        return _residue_envelope_dimension(_int_tensor(A), p), None
+        return _residue_envelope_dimension(_residues(A, p), p), None
     full = A.n * A.n
-    tensor = _residue_tensor(A, ENVELOPE_PRIME)
+    tensor = _residues(A, ENVELOPE_PRIME)
     if tensor is not None and _residue_envelope_dimension(tensor, ENVELOPE_PRIME) == full:
         return full, ENVELOPE_PRIME
     return _exact_envelope_dimension(A), None
@@ -395,11 +407,6 @@ def is_simple_closure(A: Algebra) -> bool:
     multiplication envelope (dimension n^2), which also forces a nonzero
     product."""
     return envelope_dimension(A) == A.n * A.n
-
-
-def _int_tensor(A: Algebra) -> list[list[list[int]]]:
-    # residues of a prime-field tensor, for tight enumeration loops
-    return [[[c.value for c in cell] for cell in row] for row in A.table]
 
 
 def _subspace_bases(p: int, n: int, k: int):
@@ -432,7 +439,7 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
             f"subspace enumeration infeasible for n = {A.n}, p = {p}"
         )
     n = A.n
-    tensor = _int_tensor(A)
+    tensor = _residues(A, p)
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     found: list[tuple[Element, ...]] = []
     for k in range(1, n):
@@ -494,8 +501,8 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
         raise SearchBudgetExceededError(
             f"matrix enumeration infeasible for n = {n}, p = {p}"
         )
-    ta = _int_tensor(A)
-    tb = _int_tensor(B)
+    ta = _residues(A, p)
+    tb = _residues(B, p)
     # checks[r]: the pairs (i, j, support of e_i e_j) whose last row is r
     checks = [[] for _ in range(n)]
     for i in range(n):

@@ -96,18 +96,17 @@ class Matrix:
         return Matrix(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def det(self) -> Scalar:
-        # each insert divides the row by its pivot value and moves it above
-        # `moves` echelon rows; det is the product of the pivot values, with
-        # one sign flip per row passed
-        tracker = SpanTracker(self.field, self.n)
+        # each insert subtracts multiples of earlier rows, so det is the
+        # product of the pivot values, signed by the parity of the pivot order
+        rows, pivots = [], []
         acc = self.field.one
         for row in self.rows:
-            step = tracker._insert(list(row))
-            if step is None:
+            pval = _insert(list(row), rows, pivots)
+            if pval is None:
                 return self.field.zero
-            pval, moves = step
-            acc = acc * pval if moves % 2 == 0 else -(acc * pval)
-        return acc
+            acc = acc * pval
+        inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+        return -acc if inversions % 2 else acc
 
     def is_invertible(self) -> bool:
         return bool(self.det())
@@ -119,10 +118,11 @@ class Matrix:
         one, zero = self.field.one, self.field.zero
         tracker = SpanTracker(self.field, 2 * n)
         for i, row in enumerate(self.rows):
-            tracker._insert(list(row) + [one if i == j else zero for j in range(n)])
-        if tracker.pivots[-1] != n - 1:
+            tracker.add(list(row) + [one if i == j else zero for j in range(n)])
+        rows, pivots = tracker._reduced()
+        if pivots[-1] != n - 1:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in tracker.rows])
+        return Matrix(self.field, [r[n:] for r in rows])
 
     def rank(self) -> int:
         return row_rank(self.field, self.rows)
@@ -150,7 +150,7 @@ def rref(field: Field, rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], li
     tracker = SpanTracker(field, len(rows[0]))
     for row in rows:
         tracker.add(row)
-    return tracker.rows, tracker.pivots
+    return tracker._reduced()
 
 
 def row_rank(field: Field, rows) -> int:
@@ -192,7 +192,7 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
     tracker = SpanTracker(field, width + 1)
     for row, b in zip(rows, rhs):
         tracker.add(row + [b])
-    aug, pivots = tracker.rows, tracker.pivots
+    aug, pivots = tracker._reduced()
     if pivots and pivots[-1] == width:
         return None
     zero = field.zero
@@ -210,44 +210,42 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
     return SolveResult(tuple(point), tuple(kernel))
 
 
-def _reduce(vec: list, rows: list[list], pivots: list[int]) -> list:
-    """Subtract from ``vec`` its components along reduced echelon ``rows``
-    (pivot entries 1).  Works on Scalars, and on raw ints modulo p."""
+def _reduce(vec: list, rows: list[list], pivots: list[int], p: int | None = None) -> list:
+    """Subtract from ``vec`` its components along the semi-echelon ``rows``
+    (row r is 1 at ``pivots[r]`` and 0 at every earlier pivot).  Works on
+    Scalars, and on raw ints; given p, reduces mod p at every step."""
     for row, piv in zip(rows, pivots):
         f = vec[piv]
         if f:
-            vec = [a - f * b for a, b in zip(vec, row)]
+            if p is None:
+                vec = [a - f * b for a, b in zip(vec, row)]
+            else:
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
     return vec
 
 
-def _insert_residues(vec: list[int], rows: list[list[int]], pivots: list[int], p: int) -> bool:
-    """Insert the raw-int vector ``vec`` into the span of ``rows`` modulo p,
-    reducing mod p at every step; True if it enlarged the span.
-
-    ``rows`` is semi-echelon in insertion order: row r holds residue 1 at
-    ``pivots[r]`` and 0 at the pivots of all earlier rows.  That is enough to
-    reduce in that order, so an insert never touches the earlier rows.
-    """
-    vec = [a % p for a in vec]
-    for row, piv in zip(rows, pivots):
-        f = vec[piv]
-        if f:
-            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+def _insert(vec: list, rows: list[list], pivots: list[int], p: int | None = None):
+    """Insert ``vec`` (Scalars, or residues mod p in 0..p-1) into the
+    semi-echelon basis ``rows``: reduce it, divide it by its first nonzero
+    entry and append it.  Returns that pivot value, or None if ``vec`` was
+    already in the span.  Earlier rows are never touched."""
+    vec = _reduce(vec, rows, pivots, p)
     piv = next((i for i, v in enumerate(vec) if v), None)
     if piv is None:
-        return False
-    inv = pow(vec[piv], -1, p)
-    rows.append([v * inv % p for v in vec])
+        return None
+    pval = vec[piv]
+    inv = 1 / pval if p is None else pow(pval, -1, p)
+    rows.append([v * inv for v in vec] if p is None else [v * inv % p for v in vec])
     pivots.append(piv)
-    return True
+    return pval
 
 
 class SpanTracker:
-    """Incremental row space over a field, kept in reduced echelon form.
+    """Incremental row space over a field: a semi-echelon basis in insertion
+    order, built by :func:`_insert`, the package's one elimination step.
 
-    This is the package's one elimination routine: ``rref``, ``solve``,
-    ``Matrix.det`` and ``Matrix.inverse`` insert rows and read off the result.
-    Deterministic: the resulting basis depends only on the insertion order.
+    ``rref``, ``solve`` and ``Matrix.inverse`` read the reduced echelon form
+    off one back-substitution pass; it depends only on the span.
     """
 
     def __init__(self, field: Field, width: int):
@@ -262,27 +260,18 @@ class SpanTracker:
 
     def add(self, vec) -> bool:
         """Insert ``vec``; True if it enlarged the span."""
-        return self._insert([self.field.scalar(v) for v in vec]) is not None
+        return _insert([self.field.scalar(v) for v in vec], self.rows, self.pivots) is not None
 
-    def _insert(self, vec: list[Scalar]):
-        """Insert ``vec``, a list of scalars of this field.  Returns None if it
-        was already in the span, else the pivot value it was divided by and
-        the number of rows it was placed above."""
-        red = _reduce(vec, self.rows, self.pivots)
-        piv = next((i for i, v in enumerate(red) if v), None)
-        if piv is None:
-            return None
-        pval = red[piv]
-        inv = pval.inverse()
-        red = [v * inv for v in red]
-        for i, row in enumerate(self.rows):
-            if row[piv]:
-                f = row[piv]
-                self.rows[i] = [a - f * b for a, b in zip(row, red)]
-        pos = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(pos, red)
-        self.pivots.insert(pos, piv)
-        return pval, len(self.pivots) - 1 - pos
+    def _reduced(self) -> tuple[list[list[Scalar]], list[int]]:
+        """Reduced echelon form (rows, ascending pivots) by back-substitution:
+        each row, last first, is reduced against the already reduced later ones."""
+        rows: list[list[Scalar]] = []
+        pivots: list[int] = []
+        for row, piv in zip(reversed(self.rows), reversed(self.pivots)):
+            rows.append(_reduce(row, rows, pivots))
+            pivots.append(piv)
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        return [rows[i] for i in order], [pivots[i] for i in order]
 
     @property
     def dim(self) -> int:

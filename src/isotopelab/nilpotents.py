@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .algebras import Algebra, Element, _contract, _int_tensor
+from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Scalar
@@ -60,7 +60,7 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
             f"nil enumeration infeasible: {p}^{A.n} > {BRUTE_FORCE_BUDGET}"
         )
     n = A.n
-    tensor = _int_tensor(A)
+    tensor = _residues(A, p)
     out = []
     for vec in itertools.product(range(p), repeat=n):
         if not any(vec):
@@ -152,8 +152,4 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
 def _reducible(A: Algebra, p: int) -> bool:
     from .fields import _is_prime
 
-    if p == 2 or not _is_prime(p):
-        return False
-    return all(
-        c.value.denominator % p != 0 for _, _, _, c in A.nonzero_entries()
-    )
+    return p != 2 and _is_prime(p) and _residues(A, p) is not None

@@ -9,9 +9,12 @@ from isotopelab import (
     Field,
     Matrix,
     SingularMatrixError,
+    SpanTracker,
     random_invertible,
+    rref,
     solve,
 )
+from isotopelab.matrices import _insert
 
 rationals = Field.rationals()
 f3 = Field.gf(3)
@@ -217,3 +220,17 @@ def test_elimination_against_independent_oracles(system):
         for k in sol.kernel:
             assert any(k)
             assert all(not dot(field, row, k) for row in m.rows)
+    # the reduced form depends only on the span, not on the insertion order
+    # that shaped the semi-echelon basis it is read from
+    assert rref(field, m.rows) == rref(field, list(reversed(m.rows)))
+    if field.p is not None:
+        # the insert on raw residues accepts the same rows as the Scalar one
+        # and keeps the same basis
+        p = field.p
+        tracker = SpanTracker(field, n)
+        rows, pivots = [], []
+        for row in m.rows:
+            raw = [v.value for v in row]
+            assert (_insert(raw, rows, pivots, p) is not None) == tracker.add(row)
+        assert rows == [[v.value for v in r] for r in tracker.rows]
+        assert pivots == tracker.pivots
