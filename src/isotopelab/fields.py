@@ -72,6 +72,8 @@ class Field:
         if isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, int):
+            if self.p is not None:
+                return Scalar(self, value % self.p)
             value = Fraction(value)
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot interpret {value!r} as a field element")

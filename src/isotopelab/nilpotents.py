@@ -7,7 +7,9 @@ family, where eliminating the quadratic system for a nil element
 exists iff beta gamma = -2 alpha (alpha != 0), with witness
 ``1 - x / gamma - y / beta``.  The brute-force route enumerates a prime
 field; it carries a closure caveat because rational or prime-field points
-can miss nil elements that only appear over the algebraic closure.
+can miss nil elements that only appear over the algebraic closure.  Since
+(c v)^2 = c^2 v^2, it squares one vector per line through the origin (the
+one whose leading nonzero coordinate is 1) and ranks raw residues mod p.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Scalar
-from .matrices import SpanTracker
+from .matrices import _insert
 
 BRUTE_FORCE_BUDGET = 10**6
 
@@ -62,26 +64,33 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
     n = A.n
     tensor = _residues(A, p)
     out = []
-    for vec in itertools.product(range(p), repeat=n):
-        if not any(vec):
-            continue
-        sq = _contract(tensor, vec, vec, 0)
-        if all(s % p == 0 for s in sq):
-            out.append(A.element(vec))
-    return out
+    # a line is nil iff its point with leading coordinate 1 is; lexicographic
+    # order lists the points with more leading zeros first
+    for lead in reversed(range(n)):
+        head = (0,) * lead + (1,)
+        block = []
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            vec = head + tail
+            if not any(s % p for s in _contract(tensor, vec, vec, 0)):
+                block.extend(tuple(c * v % p for v in vec) for c in range(1, p))
+        block.sort()
+        out.extend(block)
+    return [A.element(vec) for vec in out]
 
 
 def nil_rank_bruteforce(A: Algebra) -> NilReport:
     """Rank of the span of the brute-force nil set, with witnesses extracted
     greedily in scan order."""
     nils = nil_set_bruteforce(A)
-    tracker = SpanTracker(A.field, A.n)
-    witnesses = []
+    p, n = A.field.p, A.n
+    rows, pivots, witnesses = [], [], []
     for el in nils:
-        if tracker.add(el.coords):
+        if _insert([c.value for c in el.coords], rows, pivots, p) is not None:
             witnesses.append(el)
+            if len(witnesses) == n:
+                break
     return NilReport(
-        rank=tracker.dim,
+        rank=len(witnesses),
         witnesses=tuple(witnesses),
         method=METHOD_BRUTE_FP,
         closure_caveat=True,

@@ -58,6 +58,17 @@ def test_equality_with_fraction_outside_gf():
     assert f5.scalar(1) != Fraction(7, 10)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
+@given(st.one_of(st.integers(-10**6, 10**6), st.integers(-10**40, 10**40), st.booleans()))
+def test_gf_int_coercion_matches_fraction_route(p, k):
+    # ints take a direct residue path; it must agree with the rational route
+    field = Field.gf(p)
+    direct, via_fraction = field.scalar(k), field.scalar(Fraction(k))
+    assert direct == via_fraction
+    assert direct.value == via_fraction.value
+    assert type(direct.value) is type(via_fraction.value) is int
+
+
 def test_string_parsing():
     assert rationals.scalar("-3/2").value == Fraction(-3, 2)
     assert f5.scalar("-3/2").value == f5.scalar(Fraction(-3, 2)).value

@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from isotopelab import (
+    Algebra,
     DomainError,
     Field,
     SearchBudgetExceededError,
@@ -17,6 +22,7 @@ from isotopelab import (
     nil_set_bruteforce,
     span_rank,
 )
+from isotopelab.nilpotents import BRUTE_FORCE_BUDGET
 
 QQ = Field.rationals()
 F3 = Field.gf(3)
@@ -65,6 +71,11 @@ def test_nil_set_c3_contains_the_basis():
 def test_nil_set_budget():
     with pytest.raises(SearchBudgetExceededError):
         nil_set_bruteforce(g_n(Field.gf(101), 3))
+    # G_8 mod 5 has 488,281 lines through the origin, within budget, but
+    # 5^9 points; the guard is on the points
+    assert (5**9 - 1) // 4 <= BRUTE_FORCE_BUDGET < 5**9
+    with pytest.raises(SearchBudgetExceededError):
+        nil_set_bruteforce(g_n(Field.gf(5), 8))
     with pytest.raises(DomainError):
         nil_set_bruteforce(j2(QQ))
 
@@ -172,3 +183,71 @@ def test_nil_rank_names_the_reduction_prime():
     assert all(w.algebra.field.p == 3 for w in report.witnesses)
     assert nil_rank(c_rho(QQ, -2)).reduced_mod is None
     assert nil_rank(j2(F5)).reduced_mod is None
+
+
+def _rank_mod_p(rows, p):
+    """Row rank mod p by plain Gauss-Jordan elimination on a copy."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _scan_oracle(table, p):
+    """Every nonzero point with zero square in itertools.product order, and
+    the greedy witnesses of that order."""
+    n = len(table)
+    nils = []
+    for vec in itertools.product(range(p), repeat=n):
+        square = [
+            sum(vec[i] * vec[j] * table[i][j][k] for i in range(n) for j in range(n)) % p
+            for k in range(n)
+        ]
+        if any(vec) and not any(square):
+            nils.append(vec)
+    witnesses = []
+    for vec in nils:
+        if _rank_mod_p(witnesses + [vec], p) > len(witnesses):
+            witnesses.append(vec)
+    return nils, witnesses
+
+
+@st.composite
+def small_tensors(draw):
+    """(p, table) over gf 3/5/7, n = 2..4, biased to zero entries so that
+    nil elements are common; commutative or not."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(2, 4))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    table = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                table[i][j] = list(table[j][i])
+    return p, table
+
+
+# e1 e2 = e3 only: every point is on a nil line and the nils span all of A
+@example((7, [[[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0]] * 3, [[0, 0, 0]] * 3]))
+# the zero algebra of dimension 4: nil-rank n
+@example((3, [[[0] * 4] * 4] * 4))
+@given(small_tensors())
+def test_nil_scan_matches_full_point_scan(case):
+    p, table = case
+    A = Algebra(Field.gf(p), table)
+    nils, witnesses = _scan_oracle(table, p)
+    assert [coords(e) for e in nil_set_bruteforce(A)] == nils
+    report = nil_rank_bruteforce(A)
+    assert report.rank == len(witnesses)
+    assert tuple(coords(w) for w in report.witnesses) == tuple(witnesses)
