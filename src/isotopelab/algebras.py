@@ -163,6 +163,15 @@ class Element:
         self.algebra = algebra
         self.coords = coords
 
+    @classmethod
+    def _of_scalars(cls, algebra: Algebra, coords: tuple) -> "Element":
+        """An element from a tuple of n Scalars already over the algebra's
+        field, taken as is: no coercion and no length check."""
+        el = object.__new__(cls)
+        el.algebra = algebra
+        el.coords = coords
+        return el
+
     def _check_same(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise DomainError("elements belong to different algebras")

@@ -66,7 +66,7 @@ class Field:
     def scalar(self, value) -> "Scalar":
         """Coerce ``value`` (Scalar, int, Fraction, or string like ``-3/2``) into this field."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"scalar over {value.field} used in {self}")
             return value
         if isinstance(value, str):
@@ -158,7 +158,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot combine scalars over {self.field} and {other.field}"
                 )
@@ -249,7 +249,9 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
+            return (
+                self.field is other.field or self.field == other.field
+            ) and self.value == other.value
         if isinstance(other, (int, Fraction)):
             p = self.field.p
             if p is not None and other.denominator % p == 0:

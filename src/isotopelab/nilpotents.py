@@ -8,8 +8,13 @@ exists iff beta gamma = -2 alpha (alpha != 0), with witness
 ``1 - x / gamma - y / beta``.  The brute-force route enumerates a prime
 field; it carries a closure caveat because rational or prime-field points
 can miss nil elements that only appear over the algebraic closure.  Since
-(c v)^2 = c^2 v^2, it squares one vector per line through the origin (the
-one whose leading nonzero coordinate is 1) and ranks raw residues mod p.
+(c v)^2 = c^2 v^2, it tests one vector per line through the origin (the one
+whose leading nonzero coordinate is 1).  That vector is y + t e_last with
+y_last = 0, and its square y^2 + t (y e_last + e_last y) + t^2 e_last^2 is
+a quadratic in t: one contraction and one combination per y decide p
+points.  The rank pass reduces only the leading-1 points as raw residues
+mod p, which gives the same greedy witnesses, since a multiple c v is in a
+span iff v is and v comes first.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .algebras import Algebra, Element, _contract, _residues
+from .algebras import Algebra, Element, _combination, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Scalar
@@ -62,30 +67,50 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
             f"nil enumeration infeasible: {p}^{A.n} > {BRUTE_FORCE_BUDGET}"
         )
     n = A.n
+    last = n - 1
     tensor = _residues(A, p)
+    # x = y + t e_last with y_last = 0 squares to
+    # y^2 + t (y e_last + e_last y) + t^2 e_last^2: one contraction per p points
+    cross = [[u + v for u, v in zip(tensor[i][last], tensor[last][i])] for i in range(n)]
+    quad = tensor[last][last]
     out = []
     # a line is nil iff its point with leading coordinate 1 is; lexicographic
     # order lists the points with more leading zeros first
     for lead in reversed(range(n)):
         head = (0,) * lead + (1,)
-        block = []
-        for tail in itertools.product(range(p), repeat=n - lead - 1):
-            vec = head + tail
-            if not any(s % p for s in _contract(tensor, vec, vec, 0)):
-                block.extend(tuple(c * v % p for v in vec) for c in range(1, p))
+        if lead == last:
+            lines = [] if any(quad) else [head]
+        else:
+            lines = []
+            for mid in itertools.product(range(p), repeat=last - lead - 1):
+                y = head + mid + (0,)
+                terms = list(zip(_contract(tensor, y, y, 0), _combination(y, cross, 0), quad))
+                for t in range(p):
+                    for a, b, c in terms:
+                        if (a + t * (b + t * c)) % p:
+                            break
+                    else:
+                        lines.append(head + mid + (t,))
+        block = [tuple(c * v % p for v in vec) for vec in lines for c in range(1, p)]
         block.sort()
         out.extend(block)
-    return [A.element(vec) for vec in out]
+    scalars = [Scalar(A.field, r) for r in range(p)]
+    return [Element._of_scalars(A, tuple([scalars[v] for v in vec])) for vec in out]
 
 
 def nil_rank_bruteforce(A: Algebra) -> NilReport:
     """Rank of the span of the brute-force nil set, with witnesses extracted
-    greedily in scan order."""
+    greedily in scan order.  Only the points whose leading nonzero
+    coordinate is 1 are reduced: a multiple c v is in the span iff v is, and
+    v comes first, so the witnesses are the same."""
     nils = nil_set_bruteforce(A)
     p, n = A.field.p, A.n
     rows, pivots, witnesses = [], [], []
     for el in nils:
-        if _insert([c.value for c in el.coords], rows, pivots, p) is not None:
+        vec = [c.value for c in el.coords]
+        if next(filter(None, vec)) != 1:
+            continue
+        if _insert(vec, rows, pivots, p) is not None:
             witnesses.append(el)
             if len(witnesses) == n:
                 break
@@ -142,9 +167,12 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
     literal C(alpha, beta, gamma) form use the exact criterion; any other
     rational algebra is reduced mod an odd prime (p, or the smallest
     feasible one) and enumerated, with the closure caveat and
-    ``reduced_mod`` set.
+    ``reduced_mod`` set.  A prime p given with a prime-field algebra must
+    be that field's characteristic.
     """
     if A.field.p is not None:
+        if p is not None and p != A.field.p:
+            raise DomainError(f"algebra over {A.field} cannot be reduced mod {p}")
         return nil_rank_bruteforce(A)
     params = _match_c_params(A)
     if params is not None and params[0]:

@@ -116,6 +116,18 @@ def test_nilrank_command(capsys):
     assert "nil-rank: 3" in out
 
 
+def test_nilrank_rejects_a_foreign_prime_on_a_gf_file(tmp_path, capsys):
+    path = tmp_path / "c110_gf7.alg"
+    path.write_text(serialize_algebra(c_family(Field.gf(7), 1, 1, 0)))
+    code, out, err = run(capsys, "nilrank", str(path), "--p", "5")
+    assert code == 2
+    assert out == ""
+    assert "DomainError" in err
+    code, out, _ = run(capsys, "nilrank", str(path), "--p", "7")
+    assert code == 0
+    assert "reduced mod" not in out
+
+
 def test_isotope_writes_file(tmp_path, capsys):
     J = j2(QQ)
     one, x, _ = J.basis()

@@ -8,6 +8,7 @@ from isotopelab import (
     Algebra,
     DomainError,
     Field,
+    Scalar,
     SearchBudgetExceededError,
     c2,
     c3,
@@ -176,6 +177,15 @@ def test_nil_rank_dispatcher():
         nil_rank(c2(QQ), p=4)
 
 
+def test_nil_rank_rejects_a_foreign_prime_on_a_prime_field():
+    A = c_family(F7, 1, 1, 0)
+    with pytest.raises(DomainError):
+        nil_rank(A, p=5)
+    # the field's own prime is accepted and changes nothing
+    assert nil_rank(A, p=7) == nil_rank(A)
+    assert nil_rank(A, p=7).reduced_mod is None
+
+
 def test_nil_rank_names_the_reduction_prime():
     # only a rational algebra that was reduced mod p carries the prime
     report = nil_rank(g_n(QQ, 2))
@@ -225,10 +235,10 @@ def _scan_oracle(table, p):
 
 @st.composite
 def small_tensors(draw):
-    """(p, table) over gf 3/5/7, n = 2..4, biased to zero entries so that
+    """(p, table) over gf 3/5/7, n = 1..4, biased to zero entries so that
     nil elements are common; commutative or not."""
     p = draw(st.sampled_from([3, 5, 7]))
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
     table = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
@@ -242,12 +252,21 @@ def small_tensors(draw):
 @example((7, [[[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0]] * 3, [[0, 0, 0]] * 3]))
 # the zero algebra of dimension 4: nil-rank n
 @example((3, [[[0] * 4] * 4] * 4))
+# e0 e1 = e0, e1 e0 = 2 e0 over gf 3: anticommutative, so every vector is nil
+# only through the cross term c_01. + c_10. = 3 e0
+@example((3, [[[0, 0], [1, 0]], [[2, 0], [0, 0]]]))
+# e1 e1 = e0 over gf 5: the nils are the line of e0, cut out by the t^2 term
+@example((5, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]))
 @given(small_tensors())
 def test_nil_scan_matches_full_point_scan(case):
     p, table = case
     A = Algebra(Field.gf(p), table)
     nils, witnesses = _scan_oracle(table, p)
-    assert [coords(e) for e in nil_set_bruteforce(A)] == nils
+    got = nil_set_bruteforce(A)
+    assert [coords(e) for e in got] == nils
+    for e in got:
+        assert e == A.element(coords(e))
+        assert all(type(s) is Scalar and s.field == A.field for s in e.coords)
     report = nil_rank_bruteforce(A)
     assert report.rank == len(witnesses)
     assert tuple(coords(w) for w in report.witnesses) == tuple(witnesses)
