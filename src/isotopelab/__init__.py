@@ -18,14 +18,12 @@ from .algebras import (
 )
 from .catalog import (
     CanonicalizationResult,
-    CatalogSpec,
     c2,
     c3,
     c_family,
     c_rho,
     canonicalize_C,
     catalog_algebras,
-    construct,
     g_n,
     j2,
     jordan_bilinear,

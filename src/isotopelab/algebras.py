@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedCharacteristicError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, SpanTracker, _insert, _reduce, row_rank, solve
+from .matrices import Matrix, SpanTracker, _combination, _insert, _reduce, row_rank, solve
 
 
 def _contract(table, u, v, zero) -> list:
@@ -39,18 +39,6 @@ def _contract(table, u, v, zero) -> list:
                 if c:
                     out[k] += coeff * c
                 k += 1
-    return out
-
-
-def _combination(coeffs, cells, zero) -> list:
-    """sum_j coeffs_j cells_j: with coeffs v, the cells c_ij. give row i of
-    R_v and the cells c_ji. row i of L_v."""
-    out = [zero] * len(cells)
-    for vj, cell in zip(coeffs, cells):
-        if vj:
-            for k, c in enumerate(cell):
-                if c:
-                    out[k] += vj * c
     return out
 
 
@@ -329,7 +317,7 @@ def _exact_envelope_dimension(A: Algebra) -> int:
     # products: right products only, stopping once the span is full
     gens = [m for b in A.basis() for m in (b.right_mult_matrix(), b.left_mult_matrix())]
     full = A.n * A.n
-    tracker = SpanTracker(A.field, full)
+    tracker = SpanTracker(A.field)
     work = [g for g in gens if tracker.add(_flatten(g))]
     while work and tracker.dim < full:
         m = work.pop()
@@ -512,20 +500,19 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
         )
     ta = _residues(A, p)
     tb = _residues(B, p)
-    # checks[r]: the pairs (i, j, support of e_i e_j) whose last row is r
+    # checks[r]: the pairs (i, j) whose last row is r, the largest of i, j
+    # and every k with c_ijk != 0; so c_ijk = 0 past the rows of a partial xi
     checks = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            support = [(k, c) for k, c in enumerate(ta[i][j]) if c]
-            checks[max([i, j] + [k for k, _ in support])].append((i, j, support))
+            checks[max([i, j] + [k for k, c in enumerate(ta[i][j]) if c])].append((i, j))
     candidates = list(itertools.product(range(p), repeat=n))
     xi: list[tuple[int, ...]] = []
 
-    def holds(i, j, support) -> bool:
+    def holds(i, j) -> bool:
         lhs = _contract(tb, xi[i], xi[j], 0)
-        return not any(
-            (lhs[t] - sum(c * xi[k][t] for k, c in support)) % p for t in range(n)
-        )
+        rhs = _combination(ta[i][j], xi, 0)
+        return not any((a - b) % p for a, b in zip(lhs, rhs))
 
     def extend() -> Matrix | None:
         r = len(xi)

@@ -144,49 +144,6 @@ def g_n(field: Field, n: int) -> Algebra:
     return Algebra.from_products(field, dim, products, names=names)
 
 
-@dataclass(frozen=True)
-class CatalogSpec:
-    """Configuration for :func:`construct`.
-
-    ``family`` is one of Jn, J2, Cabg, Crho, C2, C3, Gn; ``gram`` (Jn),
-    ``abg`` (Cabg), ``rho`` (Crho) and ``n`` (Gn) carry the parameters.
-    """
-
-    family: str
-    field: Field
-    gram: tuple | None = None
-    abg: tuple | None = None
-    rho: object = None
-    n: int | None = None
-
-
-def construct(spec: CatalogSpec) -> Algebra:
-    fam = spec.family
-    if fam == "Jn":
-        if spec.gram is None:
-            raise DomainError("Jn needs a Gram matrix")
-        return jordan_bilinear(spec.field, spec.gram)
-    if fam == "J2":
-        return j2(spec.field)
-    if fam == "Cabg":
-        if spec.abg is None or len(spec.abg) != 3:
-            raise DomainError("Cabg needs the parameter triple (alpha, beta, gamma)")
-        return c_family(spec.field, *spec.abg)
-    if fam == "Crho":
-        if spec.rho is None:
-            raise DomainError("Crho needs the parameter rho")
-        return c_rho(spec.field, spec.rho)
-    if fam == "C2":
-        return c2(spec.field)
-    if fam == "C3":
-        return c3(spec.field)
-    if fam == "Gn":
-        if spec.n is None:
-            raise DomainError("Gn needs the parameter n")
-        return g_n(spec.field, spec.n)
-    raise DomainError(f"unknown family {fam!r}")
-
-
 def catalog_algebras(field: Field) -> dict[str, Algebra]:
     """The named small algebras used throughout the test pipelines."""
     return {

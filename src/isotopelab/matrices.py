@@ -64,17 +64,8 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_compatible(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            ri = self.rows[i]
-            out.append(
-                [
-                    sum((ri[t] * other.rows[t][k] for t in range(n)), self.field.zero)
-                    for k in range(n)
-                ]
-            )
-        return Matrix(self.field, out)
+        zero = self.field.zero
+        return Matrix(self.field, [_combination(row, other.rows, zero) for row in self.rows])
 
     def scale(self, value) -> "Matrix":
         s = self.field.scalar(value)
@@ -85,11 +76,7 @@ class Matrix:
         coords = [self.field.scalar(v) for v in coords]
         if len(coords) != self.n:
             raise DimensionMismatchError("vector length does not match matrix size")
-        n = self.n
-        return tuple(
-            sum((coords[t] * self.rows[t][k] for t in range(n)), self.field.zero)
-            for k in range(n)
-        )
+        return tuple(_combination(coords, self.rows, self.field.zero))
 
     def transpose(self) -> "Matrix":
         n = self.n
@@ -116,7 +103,7 @@ class Matrix:
         # invertible; otherwise a pivot falls into the right half
         n = self.n
         one, zero = self.field.one, self.field.zero
-        tracker = SpanTracker(self.field, 2 * n)
+        tracker = SpanTracker(self.field)
         for i, row in enumerate(self.rows):
             tracker.add(list(row) + [one if i == j else zero for j in range(n)])
         rows, pivots = tracker._reduced()
@@ -147,7 +134,7 @@ def rref(field: Field, rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], li
     rows = list(rows)
     if not rows:
         return [], []
-    tracker = SpanTracker(field, len(rows[0]))
+    tracker = SpanTracker(field)
     for row in rows:
         tracker.add(row)
     return tracker._reduced()
@@ -189,7 +176,7 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
     if any(len(r) != width for r in rows):
         raise DimensionMismatchError("ragged system")
     # [A | b] is inconsistent exactly when a pivot lands in the b column
-    tracker = SpanTracker(field, width + 1)
+    tracker = SpanTracker(field)
     for row, b in zip(rows, rhs):
         tracker.add(row + [b])
     aug, pivots = tracker._reduced()
@@ -208,6 +195,20 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
             vec[col] = -aug[r][fc]
         kernel.append(tuple(vec))
     return SolveResult(tuple(point), tuple(kernel))
+
+
+def _combination(coeffs, rows, zero) -> list:
+    """The row vector ``coeffs`` times the matrix ``rows``: sum_j coeffs_j
+    rows_j, the package's one v M product, of width ``len(rows[0])``.  Skips
+    zero coefficients and zero entries.  Works on Scalars, and on raw ints,
+    which it leaves unreduced."""
+    out = [zero] * len(rows[0])
+    for vj, row in zip(coeffs, rows):
+        if vj:
+            for k, c in enumerate(row):
+                if c:
+                    out[k] += vj * c
+    return out
 
 
 def _reduce(vec: list, rows: list[list], pivots: list[int], p: int | None = None) -> list:
@@ -248,9 +249,8 @@ class SpanTracker:
     off one back-substitution pass; it depends only on the span.
     """
 
-    def __init__(self, field: Field, width: int):
+    def __init__(self, field: Field):
         self.field = field
-        self.width = width
         self.rows: list[list[Scalar]] = []
         self.pivots: list[int] = []
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .algebras import Algebra, Element, _combination, _contract, _residues
+from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Scalar
-from .matrices import _insert
+from .matrices import _combination, _insert
 
 BRUTE_FORCE_BUDGET = 10**6
 

@@ -418,7 +418,7 @@ def witness_prop2(n: int, field: Field = QQ) -> Certificate:
         "z_i * z_j = 0 for all i, j",
         all((zi * zj).is_zero for zi in zs for zj in zs),
     )
-    span = SpanTracker(field, n + 1)
+    span = SpanTracker(field)
     for zi in zs:
         span.add(zi.coords)
     cert.expect_equal("Z = span(z_1 .. z_n) has dimension n", n, span.dim)
@@ -462,8 +462,9 @@ def run_witness(name: str, **kwargs) -> Certificate:
         return witness_theorem1(*abg, field=field)
     if name == "theorem2":
         return witness_theorem2(field)
+    n = kwargs.get("n")
     if name == "prop1":
-        return witness_prop1(kwargs.get("n") or 2, field=field)
+        return witness_prop1(2 if n is None else n, field=field)
     if name == "prop2":
-        return witness_prop2(kwargs.get("n") or 2, field=field)
+        return witness_prop2(2 if n is None else n, field=field)
     raise DomainError(f"unknown witness {name!r}; choose from {', '.join(WITNESS_NAMES)}")

@@ -359,7 +359,7 @@ def test_ideal_closure_property():
         for basis in ideal_search_exhaustive(ids_algebra):
             from isotopelab import SpanTracker
 
-            span = SpanTracker(ids_algebra.field, ids_algebra.n)
+            span = SpanTracker(ids_algebra.field)
             for e in basis:
                 span.add(e.coords)
             for e in basis:

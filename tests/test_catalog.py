@@ -1,7 +1,6 @@
 import pytest
 
 from isotopelab import (
-    CatalogSpec,
     DependentNilsError,
     DomainError,
     Field,
@@ -14,7 +13,6 @@ from isotopelab import (
     c_family,
     c_rho,
     canonicalize_C,
-    construct,
     g_n,
     j2,
     jordan_bilinear,
@@ -95,20 +93,6 @@ def test_gn_relations_including_wraparound():
 def test_gn_needs_n_at_least_2():
     with pytest.raises(DomainError):
         g_n(QQ, 1)
-
-
-def test_construct_dispatch():
-    assert construct(CatalogSpec("J2", QQ)) == j2(QQ)
-    assert construct(CatalogSpec("Cabg", QQ, abg=(1, 1, 0))) == c_family(QQ, 1, 1, 0)
-    assert construct(CatalogSpec("Crho", QQ, rho=-2)) == c_rho(QQ, -2)
-    assert construct(CatalogSpec("C2", QQ)) == c2(QQ)
-    assert construct(CatalogSpec("C3", QQ)) == c3(QQ)
-    assert construct(CatalogSpec("Gn", QQ, n=3)) == g_n(QQ, 3)
-    assert construct(CatalogSpec("Jn", QQ, gram=((0, 1), (1, 0)))).table == j2(QQ).table
-    with pytest.raises(DomainError):
-        construct(CatalogSpec("Gn", QQ))
-    with pytest.raises(DomainError):
-        construct(CatalogSpec("nope", QQ))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def test_witness_lemma11_domain_error(capsys):
     assert "DomainError" in err
 
 
+def test_witness_n_zero_is_out_of_range(capsys):
+    code, _, err = run(capsys, "witness", "prop1", "--n", "0")
+    assert code == 2
+    assert "search budget exceeded" in err
+
+
 def test_witness_exit_codes_match_verdicts(capsys):
     for name, extra in [
         ("lemma6", []),

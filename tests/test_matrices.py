@@ -193,13 +193,18 @@ def square_systems(draw):
         rows[k] = [a + c * b for a, b in zip(rows[i], rows[j])]
     x0 = draw(st.lists(entries, min_size=n, max_size=n))
     rhs = draw(st.lists(entries, min_size=n, max_size=n))
-    return field, Matrix(field, rows), [field.scalar(v) for v in x0], rhs
+    other = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    return field, Matrix(field, rows), [field.scalar(v) for v in x0], rhs, Matrix(field, other)
 
 
 @given(square_systems())
 def test_elimination_against_independent_oracles(system):
-    field, m, x0, rhs = system
+    field, m, x0, rhs, other = system
     n = m.n
+    # products and images run the one v M kernel; compare entrywise sums
+    cols = list(zip(*other.rows))
+    assert (m * other).rows == tuple(tuple(dot(field, row, col) for col in cols) for row in m.rows)
+    assert m.apply(x0) == tuple(dot(field, x0, col) for col in zip(*m.rows))
     det = m.det()
     assert det == leibniz_det(field, m.rows)
     assert (m.rank() == n) == bool(det)
@@ -227,7 +232,7 @@ def test_elimination_against_independent_oracles(system):
         # the insert on raw residues accepts the same rows as the Scalar one
         # and keeps the same basis
         p = field.p
-        tracker = SpanTracker(field, n)
+        tracker = SpanTracker(field)
         rows, pivots = [], []
         for row in m.rows:
             raw = [v.value for v in row]

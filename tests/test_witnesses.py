@@ -236,6 +236,10 @@ def test_run_witness_dispatch():
         run_witness("theorem1", abg=(1, 2))
     with pytest.raises(DomainError):
         run_witness("nope")
+    # n = 0 is out of range, not a request for the default n = 2
+    for name in ("prop1", "prop2"):
+        with pytest.raises(SearchBudgetExceededError):
+            run_witness(name, n=0)
 
 
 def test_witness_json_shape():
