@@ -406,28 +406,43 @@ def is_simple_closure(A: Algebra) -> bool:
     return envelope_dimension(A) == A.n * A.n
 
 
-def _subspace_bases(p: int, n: int, k: int):
-    """All k-dimensional subspaces of F_p^n, one reduced-echelon basis each,
-    in deterministic order."""
-    for pivots in itertools.combinations(range(n), k):
-        free_positions = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(k)]
-            for r in range(k):
-                rows[r][pivots[r]] = 1
-            for (r, c), v in zip(free_positions, values):
-                rows[r][c] = v
-            yield [list(row) for row in rows]
+def _spin_pivots(v, operators, p: int) -> frozenset:
+    """Leading positions of the ideal generated by the residue row v: the
+    pivots of v's closure under the operators, from a semi-echelon basis,
+    stopping once the span is all of F_p^n."""
+    n = len(v)
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    _insert(v, rows, pivots, p)
+    work = [rows[0]]
+    while work and len(rows) < n:
+        w = work.pop()
+        for op in operators:
+            vec = [c % p for c in _combination(w, op, 0)]
+            if _insert(vec, rows, pivots, p) is not None:
+                if len(rows) == n:
+                    break
+                work.append(rows[-1])
+    return frozenset(pivots)
 
 
 def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
-    """All proper nonzero ideals of a small prime-field algebra, found by
-    enumerating every proper subspace.  Feasible range: n <= 4, p <= 7."""
+    """All proper nonzero ideals of a small prime-field algebra, one
+    reduced-echelon basis each.  Feasible range: n <= 4, p <= 7.
+
+    The bases are built one row at a time: pivot columns in
+    ``itertools.combinations`` order, then the free entries with row 0
+    slowest, each row's in lexicographic order.  Every row but the last is
+    spun: closed under R_{e_b} and L_{e_b} for all b, which gives the ideal
+    <v> it generates.  If v lies in an ideal I then <v> lies in I, so every
+    leading position of <v> is a pivot column of I; a row whose spin has a
+    leading position outside the pivot columns (a spin of all of F_p^n
+    has every column) is dropped with all its completions.  Each completed
+    basis is then checked for closure directly, so the list and its order
+    are those of a flat scan over every proper subspace.  The search reads
+    only the structure tensor and never the multiplication envelope, so it
+    stays an independent check of :func:`is_simple_closure`.
+    """
     p = A.field.p
     if p is None:
         raise SearchBudgetExceededError("exhaustive ideal search needs a finite field")
@@ -438,20 +453,41 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     n = A.n
     tensor = _residues(A, p)
     units = [[int(i == j) for j in range(n)] for i in range(n)]
+    # v R_{e_b} = sum_i v_i c_ib. and v L_{e_b} = sum_i v_i c_bi.
+    operators = [[tensor[i][b] for i in range(n)] for b in range(n)] + tensor
+    spins: dict[tuple[int, ...], frozenset] = {}
     found: list[tuple[Element, ...]] = []
+
+    def extend(rows, pivots, pivot_set, r) -> None:
+        free = [c for c in range(pivots[r] + 1, n) if c not in pivot_set]
+        last = r == len(pivots) - 1
+        for values in itertools.product(range(p), repeat=len(free)):
+            row = [0] * n
+            row[pivots[r]] = 1
+            for c, x in zip(free, values):
+                row[c] = x
+            if last:
+                basis = rows + [row]
+                # rows have pivot 1, so the products need no reduction mod p
+                # until the membership test
+                if all(
+                    not any(v % p for v in _reduce(_contract(tensor, w, e, 0), basis, pivots))
+                    and not any(v % p for v in _reduce(_contract(tensor, e, w, 0), basis, pivots))
+                    for w in basis
+                    for e in units
+                ):
+                    found.append(tuple(A.element(w) for w in basis))
+                continue
+            key = tuple(row)
+            spun = spins.get(key)
+            if spun is None:
+                spun = spins[key] = _spin_pivots(row, operators, p)
+            if spun <= pivot_set:
+                extend(rows + [row], pivots, pivot_set, r + 1)
+
     for k in range(1, n):
-        for rows in _subspace_bases(p, n, k):
-            pivots = [next(c for c in range(n) if row[c]) for row in rows]
-            # rows have pivot 1, so the products need no reduction mod p
-            # until the membership test
-            closed = all(
-                not any(v % p for v in _reduce(_contract(tensor, w, e, 0), rows, pivots))
-                and not any(v % p for v in _reduce(_contract(tensor, e, w, 0), rows, pivots))
-                for w in rows
-                for e in units
-            )
-            if closed:
-                found.append(tuple(A.element(row) for row in rows))
+        for pivots in itertools.combinations(range(n), k):
+            extend([], pivots, frozenset(pivots), 0)
     return found
 
 

@@ -128,13 +128,14 @@ def _cmd_analyze(args) -> int:
     env = envelope_dimension(A)
     # a full envelope forces a nonzero product
     simple = env == A.n * A.n
-    if A.field.p is not None and A.n <= 4 and A.field.p <= 7:
+    try:
         ideals = ideal_search_exhaustive(A)
-        ideal_note = "none found" if not ideals else f"found {len(ideals)}"
-        ideal_list = [[str(e) for e in basis] for basis in ideals]
-    else:
+    except SearchBudgetExceededError:
         ideal_note = "skipped (needs gf with n <= 4, p <= 7)"
         ideal_list = None
+    else:
+        ideal_note = "none found" if not ideals else f"found {len(ideals)}"
+        ideal_list = [[str(e) for e in basis] for basis in ideals]
     nil_payload, nil_line = _nil_summary(nil_rank(A, p=args.p))
     payload = {
         "file": args.file,

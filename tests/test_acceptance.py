@@ -46,6 +46,7 @@ from isotopelab import (
 QQ = Field.rationals()
 F3 = Field.gf(3)
 F5 = Field.gf(5)
+F7 = Field.gf(7)
 
 
 @contextmanager
@@ -258,7 +259,7 @@ def test_criterion_10_homothety_isomorphisms():
 
 def test_criterion_11_burnside_cross_check():
     with criterion(11, "envelope simplicity agrees with exhaustive ideal search"):
-        for field in (F3, F5):
+        for field in (F3, F5, F7):
             for label, A in catalog_algebras(field).items():
                 if A.n > 4:
                     continue

@@ -368,6 +368,65 @@ def test_ideal_closure_property():
                     assert span.contains((b * e).coords)
 
 
+@st.composite
+def ideal_search_algebras(draw):
+    """An algebra of dimension 1..4 over gf 3 or gf 5, or 1..3 over gf 7,
+    commutative or not.  The share of zero entries is drawn per algebra,
+    up to about 90%, so that proper ideals occur often."""
+    field = draw(st.sampled_from((F3, F5, Field.gf(7))))
+    n = draw(st.integers(1, 3 if field.p == 7 else 4))
+    zeros = draw(st.integers(1, 9 * (field.p - 1)))
+    entries = st.sampled_from((0,) * zeros + tuple(range(1, field.p)))
+    c = [[draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        c = [[c[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return Algebra(field, c)
+
+
+def _flat_ideal_scan(A):
+    """Every proper nonzero subspace as a reduced-echelon basis (pivot
+    columns in combinations order, then all free entries with row 0
+    slowest), kept when the triple-sum products with the basis land in it."""
+    p, n = A.field.p, A.n
+    c = [[[s.value for s in cell] for cell in row] for row in A.table]
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def inside(x, rows, pivots):
+        # in the span of a reduced-echelon basis, x is its pivot coordinates
+        # times the rows
+        return all(
+            (x[col] - sum(x[piv] * row[col] for piv, row in zip(pivots, rows))) % p == 0
+            for col in range(n)
+        )
+
+    found = []
+    for k in range(1, n):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(r, col) for r in range(k) for col in range(pivots[r] + 1, n)
+                    if col not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(col == piv) for col in range(n)] for piv in pivots]
+                for (r, col), v in zip(free, values):
+                    rows[r][col] = v
+                if all(
+                    inside(_triple_sum(c, w, e), rows, pivots)
+                    and inside(_triple_sum(c, e, w), rows, pivots)
+                    for w in rows
+                    for e in units
+                ):
+                    found.append(tuple(tuple(row) for row in rows))
+    return found
+
+
+@given(ideal_search_algebras())
+@example(Algebra.from_products(F3, 4, {}))
+@example(Algebra.from_products(F3, 3, {(0, 0): [1, 0, 0], (0, 1): [0, 0, 1]}))
+def test_ideal_search_against_flat_subspace_scan(A):
+    # the pruned search must return the flat scan's ideals, in its order
+    got = [tuple(coords(e) for e in basis) for basis in ideal_search_exhaustive(A)]
+    assert got == _flat_ideal_scan(A)
+
+
 # ---------------------------------------------------------------------------
 # isomorphism verification and search
 # ---------------------------------------------------------------------------
