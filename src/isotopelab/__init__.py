@@ -45,7 +45,6 @@ from .errors import (
     SearchBudgetExceededError,
     SingularMatrixError,
     SquareRootUnavailableError,
-    UnsupportedCharacteristicError,
 )
 from .fields import QQ, Field, Scalar
 from .isotopes import (

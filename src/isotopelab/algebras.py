@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     FieldMismatchError,
     SearchBudgetExceededError,
-    UnsupportedCharacteristicError,
 )
 from .fields import Field, Scalar
 from .matrices import Matrix, SpanTracker, _combination, _insert, _reduce, row_rank, solve
@@ -270,36 +269,28 @@ def find_unit(A: Algebra) -> Element | None:
 
 
 def is_jordan(A: Algebra) -> bool:
-    """Whether the degree-4 identity ((x x) y) x = (x x) (y x) holds.
+    """Whether the degree-4 identity ((x x) y) x = (x x) (y x) holds over
+    the algebraic closure.
 
-    Decided through the complete multilinearization evaluated on basis
-    tuples, which is equivalent to the identity in characteristic 0 or
-    p >= 5.  Characteristic 3 is rejected rather than silently weakened.
+    The defect is a polynomial, cubic in the coordinates of x and linear in
+    those of y.  Its coefficient at x_a x_b x_c y_m sums
+    ((e_b e_c) e_m) e_a - (e_b e_c)(e_m e_a) over the distinct orderings
+    (a, b, c) of one multiset of basis indices.  Over an infinite field the
+    identity holds iff every coefficient vanishes, in every characteristic.
     """
     if not is_commutative(A):
         raise DomainError("Jordan check requires a commutative algebra")
-    if A.field.p == 3:
-        raise UnsupportedCharacteristicError(
-            "degree-4 identity needs characteristic 0 or p >= 5"
-        )
-    basis = A.basis()
-
-    def f(v: Element, y: Element) -> Element:
-        v2 = v * v
-        return (v2 * y) * v - v2 * (y * v)
-
-    subsets = [s for r in (1, 2, 3) for s in itertools.combinations((0, 1, 2), r)]
-    for idx in itertools.combinations_with_replacement(range(A.n), 3):
-        xs = [basis[i] for i in idx]
-        for y in basis:
-            total = A.zero()
-            for s in subsets:
-                arg = xs[s[0]]
-                for t in s[1:]:
-                    arg = arg + xs[t]
-                term = f(arg, y)
-                total = total + term if (3 - len(s)) % 2 == 0 else total - term
-            if not total.is_zero:
+    n, table, mul, zero = A.n, A.table, A.mul_coords, A.field.zero
+    units = [A.basis_element(i).coords for i in range(n)]
+    for idx in itertools.combinations_with_replacement(range(n), 3):
+        orders = set(itertools.permutations(idx))
+        for m in range(n):
+            total = [zero] * n
+            for a, b, c in orders:
+                lhs = mul(mul(table[b][c], units[m]), units[a])
+                rhs = mul(table[b][c], table[m][a])
+                total = [t + u - v for t, u, v in zip(total, lhs, rhs)]
+            if any(total):
                 return False
     return True
 
@@ -452,7 +443,6 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
         )
     n = A.n
     tensor = _residues(A, p)
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
     # v R_{e_b} = sum_i v_i c_ib. and v L_{e_b} = sum_i v_i c_bi.
     operators = [[tensor[i][b] for i in range(n)] for b in range(n)] + tensor
     spins: dict[tuple[int, ...], frozenset] = {}
@@ -471,10 +461,9 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
                 # rows have pivot 1, so the products need no reduction mod p
                 # until the membership test
                 if all(
-                    not any(v % p for v in _reduce(_contract(tensor, w, e, 0), basis, pivots))
-                    and not any(v % p for v in _reduce(_contract(tensor, e, w, 0), basis, pivots))
+                    not any(v % p for v in _reduce(_combination(w, op, 0), basis, pivots))
                     for w in basis
-                    for e in units
+                    for op in operators
                 ):
                     found.append(tuple(A.element(w) for w in basis))
                 continue

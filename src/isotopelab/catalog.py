@@ -209,8 +209,8 @@ def canonicalize_C(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Canonicalizati
     * beta, gamma both nonzero: C(rho) with rho = beta gamma / alpha;
     * exactly one of beta, gamma zero: C(1, 1, 0), swapping x and y first
       when needed;
-    * beta = gamma = 0: C(1, 0, 0), via a square root of alpha
-      (SquareRootUnavailableError when alpha is not a square).
+    * beta = gamma = 0: C(1, 0, 0), by the change diag(1, 1, 1/alpha),
+      which takes no root and works over every field.
 
     The returned base change maps target coordinates into the source and is
     verified by :func:`verify_isomorphism`.
@@ -229,11 +229,9 @@ def canonicalize_C(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Canonicalizati
         change = Matrix.diagonal(field, [field.one, beta / alpha, gamma / alpha])
         cert.check(f"rho = beta gamma / alpha = {rho}", rho * alpha == beta * gamma, actual=rho)
     elif not beta and not gamma:
-        omega = field.sqrt(alpha)
         target = c_family(field, 1, 0, 0)
         kind, params = "C(1,0,0)", (field.one, field.zero, field.zero)
-        change = Matrix.diagonal(field, [field.one, omega.inverse(), omega.inverse()])
-        cert.expect_equal("omega^2 = alpha", alpha, omega * omega)
+        change = Matrix.diagonal(field, [field.one, field.one, alpha.inverse()])
     else:
         target = c_family(field, 1, 1, 0)
         kind, params = "C(1,1,0)", (field.one, field.one, field.zero)

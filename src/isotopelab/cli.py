@@ -27,11 +27,7 @@ from .algfile import (
     serialize_matrix,
     write_algebra_file,
 )
-from .errors import (
-    AlgebraError,
-    SearchBudgetExceededError,
-    UnsupportedCharacteristicError,
-)
+from .errors import AlgebraError, SearchBudgetExceededError
 from .fields import Field
 from .isotopes import principal_isotope, r_mult_report, right_mult_fibre
 from .nilpotents import nil_rank
@@ -121,10 +117,7 @@ def _cmd_analyze(args) -> int:
     if not commutative:
         jordan = "n/a (not commutative)"
     else:
-        try:
-            jordan = "yes" if is_jordan(A) else "no"
-        except UnsupportedCharacteristicError:
-            jordan = f"unsupported ({A.field})"
+        jordan = "yes" if is_jordan(A) else "no"
     env = envelope_dimension(A)
     # a full envelope forces a nonzero product
     simple = env == A.n * A.n

@@ -21,10 +21,6 @@ class SingularMatrixError(AlgebraError):
     """A matrix required to be invertible has determinant zero."""
 
 
-class UnsupportedCharacteristicError(AlgebraError):
-    """The field characteristic is too small for the requested identity check."""
-
-
 class SearchBudgetExceededError(AlgebraError):
     """An exhaustive search was requested outside its feasible parameter range."""
 

@@ -281,6 +281,10 @@ def witness_theorem1(alpha, beta, gamma, field: Field = QQ) -> Certificate:
     """Every simple unital commutative 3-dimensional algebra of nil-rank 2,
     presented as C(alpha, beta, gamma), is isotopic to J2.
 
+    The normal form from :func:`canonicalize_C` picks the route: C(rho)
+    through lemma11, C(1,1,0) through lemma10, and C(1,0,0), reached from
+    every beta = gamma = 0 source without a square root, is J2 itself.
+
     Preconditions surfaced as errors: alpha != 0 (simplicity) and
     beta gamma != -2 alpha (nil-rank 2).
     """

@@ -11,7 +11,6 @@ from fractions import Fraction
 from isotopelab import (
     Field,
     Matrix,
-    SquareRootUnavailableError,
     c2,
     c3,
     c_family,
@@ -120,25 +119,17 @@ def test_criterion_4_lemma11_and_theorem1_sweep():
             )
             assert recovered.expected == recovered.actual
         verified = 0
-        sqrt_obstructed = []
         for a in range(1, 5):
             for b in range(5):
                 for g in range(5):
                     if (b * g) % 5 == (-2 * a) % 5:
                         continue
-                    try:
-                        cert = witness_theorem1(a, b, g, field=F5)
-                    except SquareRootUnavailableError:
-                        assert b == 0 and g == 0
-                        sqrt_obstructed.append(a)
-                        continue
+                    cert = witness_theorem1(a, b, g, field=F5)
                     assert cert.verdict, (a, b, g)
                     verified += 1
-        # Euler's criterion: exactly the two non-residues mod 5 obstruct
-        assert sorted(sqrt_obstructed) == [2, 3]
-        for a in sqrt_obstructed:
-            assert not F5.is_square(F5.scalar(a))
-        assert verified == 82
+        # every alpha != 0 and beta gamma != -2 alpha, the non-residues
+        # alpha = 2, 3 with beta = gamma = 0 included
+        assert verified == 84
 
 
 def test_criterion_5_theorem2():

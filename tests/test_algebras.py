@@ -12,7 +12,6 @@ from isotopelab import (
     Field,
     Matrix,
     SearchBudgetExceededError,
-    UnsupportedCharacteristicError,
     associator,
     c2,
     c3,
@@ -27,10 +26,12 @@ from isotopelab import (
     is_simple_closure,
     isomorphism_search,
     j2,
+    jordan_bilinear,
     nil_set_bruteforce,
     verify_isomorphism,
 )
 from isotopelab.algebras import ENVELOPE_PRIME, _envelope
+from isotopelab.matrices import random_invertible
 
 QQ = Field.rationals()
 F3 = Field.gf(3)
@@ -197,15 +198,113 @@ def test_is_jordan_separates_the_two_normal_forms():
     assert is_jordan(j2(QQ))
 
 
-def test_is_jordan_char3_rejected():
-    with pytest.raises(UnsupportedCharacteristicError):
-        is_jordan(j2(F3))
+def test_is_jordan_char3_answers():
+    assert is_jordan(j2(F3))
+    assert is_jordan(c_family(F3, 1, 0, 0))
+    assert not is_jordan(c_family(F3, 1, 1, 0))
 
 
 def test_is_jordan_requires_commutative():
     noncomm = Algebra.from_products(QQ, 2, {(0, 1): [1, 0]})
     with pytest.raises(DomainError):
         is_jordan(noncomm)
+
+
+def multilinearized_jordan(A):
+    """The complete multilinearization of ((x x) y) x = (x x) (y x) on
+    basis tuples: equivalent to the identity in characteristic 0 or p >= 5
+    only, so a reference for those fields."""
+    basis = A.basis()
+
+    def f(v, y):
+        v2 = v * v
+        return (v2 * y) * v - v2 * (y * v)
+
+    subsets = [s for r in (1, 2, 3) for s in itertools.combinations((0, 1, 2), r)]
+    for idx in itertools.combinations_with_replacement(range(A.n), 3):
+        xs = [basis[i] for i in idx]
+        for y in basis:
+            total = A.zero()
+            for s in subsets:
+                arg = xs[s[0]]
+                for t in s[1:]:
+                    arg = arg + xs[t]
+                term = f(arg, y)
+                total = total + term if (3 - len(s)) % 2 == 0 else total - term
+            if not total.is_zero:
+                return False
+    return True
+
+
+def transported(A, S):
+    """A written in the basis given by the rows of the invertible S."""
+    inv = S.inverse()
+    rows = range(A.n)
+    return Algebra(
+        A.field, [[inv.apply(A.mul_coords(S.row(i), S.row(j))) for j in rows] for i in rows]
+    )
+
+
+@st.composite
+def commutative_algebras(draw, fields, dims):
+    """A commutative algebra over one of ``fields``, of a dimension in
+    ``dims``: either a random tensor, with the share of zero entries drawn
+    per algebra so that both answers occur, or the Jordan algebra of a
+    random symmetric bilinear form in a random basis."""
+    field = draw(st.sampled_from(fields))
+    n = draw(st.sampled_from(dims))
+    if draw(st.booleans()):
+        pool = range(-2, 3) if field.p is None else range(field.p)
+        gram = [[draw(st.sampled_from(pool)) for _ in range(n - 1)] for _ in range(n - 1)]
+        gram = [[gram[min(i, j)][max(i, j)] for j in range(n - 1)] for i in range(n - 1)]
+        S = random_invertible(field, n, draw(st.integers(0, 2**16)))
+        return transported(jordan_bilinear(field, gram), S)
+    zeros = draw(st.integers(0, 12))
+    nonzero = (1, -1, 2, Fraction(1, 2)) if field.p is None else tuple(range(1, field.p))
+    entries = st.sampled_from((0,) * zeros + nonzero)
+    c = [[draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)] for _ in range(n)]
+    return Algebra(field, [[c[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=30)
+@given(commutative_algebras((QQ, F5, Field.gf(7)), (2, 3, 4)))
+def test_is_jordan_matches_multilinearization(A):
+    assert is_jordan(A) == multilinearized_jordan(A)
+
+
+def f9_point_jordan(A):
+    """The identity checked at every x in F_9^n, F_9 = F_3[i] with i^2 = -1,
+    for a gf 3 algebra.  The defect is linear in y, so y runs over the
+    basis; each coordinate of x has degree at most 3 < 9 in it, so a defect
+    that vanishes at every point is the zero polynomial."""
+    n = A.n
+    tensor = [[[c.value.numerator for c in cell] for cell in row] for row in A.table]
+
+    def mul(u, v):
+        re, im = [0] * n, [0] * n
+        for i, (a, b) in enumerate(u):
+            for j, (c, d) in enumerate(v):
+                pr, pi = a * c - b * d, a * d + b * c
+                for k, t in enumerate(tensor[i][j]):
+                    re[k] += t * pr
+                    im[k] += t * pi
+        return [(r % 3, s % 3) for r, s in zip(re, im)]
+
+    units = [[(int(i == m), 0) for i in range(n)] for m in range(n)]
+    for x in itertools.product(itertools.product(range(3), repeat=2), repeat=n):
+        xx = mul(x, x)
+        for y in units:
+            if mul(mul(xx, y), x) != mul(xx, mul(y, x)):
+                return False
+    return True
+
+
+@settings(max_examples=30)
+@given(commutative_algebras((F3,), (2, 3)))
+@example(j2(F3))
+@example(c_family(F3, 1, 1, 0))
+def test_is_jordan_matches_f9_point_oracle(A):
+    assert is_jordan(A) == f9_point_jordan(A)
 
 
 def test_jordan_invariant_under_verified_isomorphism():

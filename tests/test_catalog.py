@@ -7,7 +7,6 @@ from isotopelab import (
     Matrix,
     NonSimpleError,
     NotUnitalError,
-    SquareRootUnavailableError,
     c2,
     c3,
     c_family,
@@ -158,8 +157,8 @@ def test_canonicalize_identity_cases():
 def test_canonicalize_square_case():
     res = canonicalize_C(QQ.scalar(4), QQ.scalar(0), QQ.scalar(0))
     assert res.kind == "C(1,0,0)" and res.verdict
-    # omega = 2, so the base change rescales the nils by 1/2
-    assert res.change == Matrix.diagonal(QQ, [1, QQ.scalar("1/2"), QQ.scalar("1/2")])
+    # x is kept and y is rescaled by 1/alpha
+    assert res.change == Matrix.diagonal(QQ, [1, 1, QQ.scalar("1/4")])
 
 
 def test_canonicalize_swap_case():
@@ -173,15 +172,14 @@ def test_canonicalize_rejects_alpha_zero():
         canonicalize_C(QQ.scalar(0), QQ.scalar(1), QQ.scalar(1))
 
 
-def test_canonicalize_sqrt_obstruction_matches_euler():
-    for a in range(1, 5):
-        alpha = F5.scalar(a)
-        if F5.is_square(alpha):
-            res = canonicalize_C(alpha, F5.zero, F5.zero)
-            assert res.verdict and res.kind == "C(1,0,0)"
-        else:
-            with pytest.raises(SquareRootUnavailableError):
-                canonicalize_C(alpha, F5.zero, F5.zero)
+def test_canonicalize_alpha_00_verifies_for_every_alpha():
+    # the Euler non-residues 2 and 3 mod 5 included: no root is taken
+    for field in (Field.gf(3), F5, Field.gf(7)):
+        for a in range(1, field.p):
+            alpha = field.scalar(a)
+            res = canonicalize_C(alpha, field.zero, field.zero)
+            assert res.verdict and res.kind == "C(1,0,0)", (field, a)
+            assert res.change == Matrix.diagonal(field, [1, 1, alpha.inverse()])
 
 
 def test_canonicalize_full_f5_consistency():

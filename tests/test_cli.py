@@ -89,6 +89,8 @@ def test_witness_exit_codes_match_verdicts(capsys):
         ("lemma10", []),
         ("lemma11", ["--rho", "1/2"]),
         ("theorem1", ["--abg", "2,1,4"]),
+        # alpha = 2 is no square in QQ; the C(1,0,0) normal form needs none
+        ("theorem1", ["--abg", "2,0,0"]),
         ("theorem2", []),
         ("prop1", ["--n", "2"]),
         ("prop2", ["--n", "2"]),

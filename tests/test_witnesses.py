@@ -23,6 +23,7 @@ from isotopelab import (
 )
 
 QQ = Field.rationals()
+F3 = Field.gf(3)
 F5 = Field.gf(5)
 
 
@@ -96,6 +97,11 @@ def test_lemma10_golden_matrices_and_separation():
     assert steps["in C(1,1,0) the associator (xy, x, y) equals -x"].check
 
 
+def test_lemma10_over_f3():
+    cert = witness_lemma10(F3)
+    assert cert.verdict, failing_steps(cert)
+
+
 # ---------------------------------------------------------------------------
 # lemma11
 # ---------------------------------------------------------------------------
@@ -157,6 +163,16 @@ def test_theorem1_via_lemma11_branch():
 def test_theorem1_direct_branch():
     cert = witness_theorem1(4, 0, 0)
     assert cert.verdict, failing_steps(cert)
+
+
+def test_theorem1_every_gf3_parameter():
+    for a in (1, 2):
+        for b in range(3):
+            for g in range(3):
+                if (b * g + 2 * a) % 3 == 0:
+                    continue
+                cert = witness_theorem1(a, b, g, field=F3)
+                assert cert.verdict, ((a, b, g), failing_steps(cert))
 
 
 def test_theorem1_errors():
