@@ -10,9 +10,7 @@ from isotopelab import run_witness
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quiet", action="store_true", help="verdict lines only")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     jobs = [
         ("lemma1", {}),
@@ -29,12 +27,8 @@ def main() -> int:
     failures = 0
     for name, kwargs in jobs:
         cert = run_witness(name, **kwargs)
-        if args.quiet:
-            status = "PASS" if cert.verdict else "FAIL"
-            print(f"{status} {cert.title}")
-        else:
-            print(cert.render())
-            print()
+        print(cert.render())
+        print()
         if not cert.verdict:
             failures += 1
     return 1 if failures else 0

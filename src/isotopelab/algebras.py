@@ -19,7 +19,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, SpanTracker, _combination, _insert, _reduce, row_rank, solve
+from .matrices import Matrix, _combination, _reduce, _spin, row_rank, solve
 
 
 def _contract(table, u, v, zero) -> list:
@@ -39,6 +39,14 @@ def _contract(table, u, v, zero) -> list:
                     out[k] += coeff * c
                 k += 1
     return out
+
+
+def _operators(tensor) -> list[list]:
+    """The 2n multiplication operators as row lists: R_{e_b} (row i is
+    c_ib.) for every b, then L_{e_b} (row i is c_bi.).  Works on a tensor of
+    Scalars and on one of residues."""
+    n = len(tensor)
+    return [[tensor[i][b] for i in range(n)] for b in range(n)] + [list(t) for t in tensor]
 
 
 class Algebra:
@@ -247,17 +255,12 @@ def is_commutative(A: Algebra) -> bool:
 
 
 def find_unit(A: Algebra) -> Element | None:
-    """The two-sided unit, found by solving L_u = R_u = I as a linear system."""
+    """The two-sided unit, found by solving L_u = R_u = I as a linear system:
+    u R_{e_b} = u e_b and u L_{e_b} = e_b u must both be e_b, for every b."""
     field, n = A.field, A.n
-    rows = []
-    rhs = []
     one, zero = field.one, field.zero
-    for i in range(n):
-        for k in range(n):
-            rows.append([A.table[i][j][k] for j in range(n)])
-            rhs.append(one if i == k else zero)
-            rows.append([A.table[j][i][k] for j in range(n)])
-            rhs.append(one if i == k else zero)
+    rows = [[op[i][k] for i in range(n)] for op in _operators(A.table) for k in range(n)]
+    rhs = [one if b % n == k else zero for b in range(2 * n) for k in range(n)]
     sol = solve(field, rows, rhs)
     if sol is None:
         return None
@@ -304,21 +307,15 @@ def _flatten(m: Matrix) -> list[Scalar]:
 
 
 def _exact_envelope_dimension(A: Algebra) -> int:
-    # the closure of _residue_envelope_dimension on Scalars and Matrix
-    # products: right products only, stopping once the span is full
-    gens = [m for b in A.basis() for m in (b.right_mult_matrix(), b.left_mult_matrix())]
-    full = A.n * A.n
-    tracker = SpanTracker(A.field)
-    work = [g for g in gens if tracker.add(_flatten(g))]
-    while work and tracker.dim < full:
-        m = work.pop()
-        for g in gens:
-            prod = m * g
-            if tracker.add(_flatten(prod)):
-                if tracker.dim == full:
-                    break
-                work.append(prod)
-    return tracker.dim
+    # the closure of _residue_envelope_dimension on Scalars and Matrix products
+    n = A.n
+    gens = [Matrix(A.field, g) for g in _operators(A.table)]
+
+    def images(v):
+        m = Matrix(A.field, [v[i * n:(i + 1) * n] for i in range(n)])
+        return (_flatten(m * g) for g in gens)
+
+    return len(_spin([_flatten(g) for g in gens], images, n * n)[0])
 
 
 def _residues(A: Algebra, p: int) -> list[list[list[int]]] | None:
@@ -335,31 +332,21 @@ def _residues(A: Algebra, p: int) -> list[list[list[int]]] | None:
 def _residue_envelope_dimension(tensor, p: int) -> int:
     """Envelope dimension over F_p of a tensor of residues mod p.
 
-    The generators are read off the tensor: row i of R_{e_b} is c_ib. and
-    row i of L_{e_b} is c_bi.  Multiplying each newly independent operator
-    on the right by every generator is enough, since every word in the
-    generators is a generator times generators on the right.  Stops as soon
-    as the span is full.
+    The span closure of the flattened R_{e_b} and L_{e_b} under right
+    multiplication by each of them, which is enough, since every word in
+    the generators is a generator times generators on the right.
     """
     n = len(tensor)
-    full = n * n
-    gens = [[c for i in range(n) for c in tensor[i][b]] for b in range(n)]
-    gens += [[c for i in range(n) for c in tensor[b][i]] for b in range(n)]
+    gens = [[c for row in op for c in row] for op in _operators(tensor)]
     # columns of each generator, for the flat products m g
     columns = [[g[k::n] for k in range(n)] for g in gens]
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    work = [g for g in gens if _insert(g, rows, pivots, p) is not None]
-    while work and len(rows) < full:
-        m = work.pop()
+
+    def images(m):
         m_rows = [m[i * n:(i + 1) * n] for i in range(n)]
         for cols in columns:
-            prod = [sum(map(operator.mul, r, col)) % p for r in m_rows for col in cols]
-            if _insert(prod, rows, pivots, p) is not None:
-                if len(rows) == full:
-                    break
-                work.append(prod)
-    return len(rows)
+            yield [sum(map(operator.mul, r, col)) % p for r in m_rows for col in cols]
+
+    return len(_spin(gens, images, n * n, p)[0])
 
 
 def _envelope(A: Algebra) -> tuple[int, int | None]:
@@ -397,26 +384,6 @@ def is_simple_closure(A: Algebra) -> bool:
     return envelope_dimension(A) == A.n * A.n
 
 
-def _spin_pivots(v, operators, p: int) -> frozenset:
-    """Leading positions of the ideal generated by the residue row v: the
-    pivots of v's closure under the operators, from a semi-echelon basis,
-    stopping once the span is all of F_p^n."""
-    n = len(v)
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    _insert(v, rows, pivots, p)
-    work = [rows[0]]
-    while work and len(rows) < n:
-        w = work.pop()
-        for op in operators:
-            vec = [c % p for c in _combination(w, op, 0)]
-            if _insert(vec, rows, pivots, p) is not None:
-                if len(rows) == n:
-                    break
-                work.append(rows[-1])
-    return frozenset(pivots)
-
-
 def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     """All proper nonzero ideals of a small prime-field algebra, one
     reduced-echelon basis each.  Feasible range: n <= 4, p <= 7.
@@ -443,8 +410,11 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
         )
     n = A.n
     tensor = _residues(A, p)
-    # v R_{e_b} = sum_i v_i c_ib. and v L_{e_b} = sum_i v_i c_bi.
-    operators = [[tensor[i][b] for i in range(n)] for b in range(n)] + tensor
+    operators = _operators(tensor)
+
+    def images(w):
+        return ([c % p for c in _combination(w, op, 0)] for op in operators)
+
     spins: dict[tuple[int, ...], frozenset] = {}
     found: list[tuple[Element, ...]] = []
 
@@ -470,7 +440,7 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
             key = tuple(row)
             spun = spins.get(key)
             if spun is None:
-                spun = spins[key] = _spin_pivots(row, operators, p)
+                spun = spins[key] = frozenset(_spin([row], images, n, p)[1])
             if spun <= pivot_set:
                 extend(rows + [row], pivots, pivot_set, r + 1)
 

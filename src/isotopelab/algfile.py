@@ -62,13 +62,17 @@ def parse_algebra_text(text: str) -> Algebra:
         elif head == "dim":
             if dim is not None:
                 raise ParseError("dim specified twice", lineno)
+            if len(tokens) != 2:
+                raise ParseError("expected 'dim <n>'", lineno)
             try:
                 dim = int(tokens[1])
-            except (IndexError, ValueError):
+            except ValueError:
                 raise ParseError("expected 'dim <n>'", lineno) from None
             if dim < 1:
                 raise ParseError("dimension must be >= 1", lineno)
         elif head == "names":
+            if names is not None:
+                raise ParseError("names specified twice", lineno)
             if dim is None:
                 raise ParseError("names line before dim", lineno)
             if len(tokens) - 1 != dim:

@@ -27,7 +27,7 @@ from .algfile import (
     serialize_matrix,
     write_algebra_file,
 )
-from .errors import AlgebraError, SearchBudgetExceededError
+from .errors import AlgebraError, ParseError, SearchBudgetExceededError
 from .fields import Field
 from .isotopes import principal_isotope, r_mult_report, right_mult_fibre
 from .nilpotents import nil_rank
@@ -232,23 +232,26 @@ def _cmd_nilrank(args) -> int:
     return 0
 
 
-def _parse_scalar_arg(text: str | None):
-    return None if text is None else Fraction(text)
+def _parse_scalar_arg(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad {option} value {text!r}") from None
 
 
 def _cmd_witness(args) -> int:
-    field = Field.gf(args.gf) if args.gf else Field.rationals()
+    field = Field.gf(args.gf) if args.gf is not None else Field.rationals()
     kwargs = {"field": field}
     if args.rho is not None:
-        kwargs["rho"] = _parse_scalar_arg(args.rho)
+        kwargs["rho"] = _parse_scalar_arg(args.rho, "--rho")
     if args.n is not None:
         kwargs["n"] = args.n
     if args.abg is not None:
-        kwargs["abg"] = tuple(Fraction(t.strip()) for t in args.abg.split(","))
+        kwargs["abg"] = tuple(_parse_scalar_arg(t, "--abg") for t in args.abg.split(","))
     if args.sigma is not None:
-        kwargs["sigma"] = _parse_scalar_arg(args.sigma)
+        kwargs["sigma"] = _parse_scalar_arg(args.sigma, "--sigma")
     if args.tau is not None:
-        kwargs["tau"] = _parse_scalar_arg(args.tau)
+        kwargs["tau"] = _parse_scalar_arg(args.tau, "--tau")
     cert = run_witness(args.name, **kwargs)
     _emit(cert.as_dict(), args.json, cert.render())
     return 0 if cert.verdict else 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, Element, _preserves_products
+from .algebras import Algebra, Element, _operators, _preserves_products
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -111,12 +111,10 @@ def right_mult_fibre(A: Algebra, m: Matrix) -> SolveResult | None:
     """Solution set of R_g = m in the unknown element g, or None."""
     if m.field != A.field or m.n != A.n:
         raise DimensionMismatchError("matrix does not match the algebra")
-    rows = []
-    rhs = []
-    for i in range(A.n):
-        for k in range(A.n):
-            rows.append([A.table[i][j][k] for j in range(A.n)])
-            rhs.append(m.rows[i][k])
+    # row i of R_g is e_i g = g L_{e_i}, and (g L_{e_i})_k = sum_j g_j c_ijk
+    n = A.n
+    rows = [[op[j][k] for j in range(n)] for op in _operators(A.table)[n:] for k in range(n)]
+    rhs = [v for row in m.rows for v in row]
     return solve(A.field, rows, rhs)
 
 

@@ -241,6 +241,26 @@ def _insert(vec: list, rows: list[list], pivots: list[int], p: int | None = None
     return pval
 
 
+def _spin(seeds, images, full: int, p: int | None = None) -> tuple[list[list], list[int]]:
+    """Semi-echelon ``(rows, pivots)`` of the smallest span that contains
+    ``seeds`` and is closed under ``images``, which yields the images of a
+    vector under a fixed set of linear maps.  Each new basis row is spun
+    once, which is enough by linearity; it is zero at every earlier pivot,
+    so sparser than the image it came from.  Stops once the span has
+    dimension ``full``.  Works on Scalars, and on residues mod p in 0..p-1,
+    which ``images`` must yield reduced."""
+    rows: list[list] = []
+    pivots: list[int] = []
+    work = [v for v in seeds if _insert(v, rows, pivots, p) is not None]
+    while work and len(rows) < full:
+        for vec in images(work.pop()):
+            if _insert(vec, rows, pivots, p) is not None:
+                if len(rows) == full:
+                    break
+                work.append(rows[-1])
+    return rows, pivots
+
+
 class SpanTracker:
     """Incremental row space over a field: a semi-echelon basis in insertion
     order, built by :func:`_insert`, the package's one elimination step.

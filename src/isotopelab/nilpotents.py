@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
-from .fields import Scalar
+from .fields import Scalar, _is_prime
 from .matrices import _combination, _insert
 
 BRUTE_FORCE_BUDGET = 10**6
@@ -187,6 +187,4 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
 
 
 def _reducible(A: Algebra, p: int) -> bool:
-    from .fields import _is_prime
-
     return p != 2 and _is_prime(p) and _residues(A, p) is not None

@@ -167,6 +167,51 @@ def test_find_unit_postcondition():
             assert u.left_mult_matrix() == ident
 
 
+def scanned_unit(A):
+    """The unit by brute force over F_p^n: the u with e_i u = u e_i = e_i
+    for every i, i.e. R_u = L_u = I, from the raw tensor."""
+    p, n = A.field.p, A.n
+    c = [[[x.value for x in cell] for cell in row] for row in A.table]
+    found = [
+        u
+        for u in itertools.product(range(p), repeat=n)
+        if all(
+            sum(c[i][j][k] * u[j] for j in range(n)) % p == (i == k)
+            and sum(c[j][i][k] * u[j] for j in range(n)) % p == (i == k)
+            for i in range(n)
+            for k in range(n)
+        )
+    ]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+@st.composite
+def unit_search_algebras(draw):
+    """gf 3 or gf 5, n <= 3, a commutative or non-commutative tensor; half
+    the time e_1 is made the unit and the algebra is moved to a random
+    basis, so that the unit lands anywhere."""
+    field = draw(st.sampled_from((F3, F5)))
+    n = draw(st.integers(1, 3))
+    entries = st.integers(0, field.p - 1)
+    c = [[draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        c = [[c[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            c[0][i] = c[i][0] = [int(k == i) for k in range(n)]
+        S = random_invertible(field, n, draw(st.integers(0, 2**16)))
+        return transported(Algebra(field, c), S)
+    return Algebra(field, c)
+
+
+@settings(max_examples=60)
+@given(unit_search_algebras())
+def test_find_unit_matches_point_scan(A):
+    u = find_unit(A)
+    assert (None if u is None else coords(u)) == scanned_unit(A)
+
+
 def test_is_commutative():
     assert is_commutative(j2(QQ))
     assert is_commutative(c3(QQ))

@@ -71,6 +71,9 @@ def test_duplicate_entry_rejected():
         ("field rational\ndim 2\nc 1 1 1 x\n", "bad scalar"),
         ("field rational\ndim 2\nbogus 1\n", "unknown directive"),
         ("field rational\ndim 2\nnames a\n", "expected 2 names"),
+        ("field rational\ndim 2\nnames a b\nnames c d\n", "names specified twice"),
+        ("field rational\ndim 2 3\n", "expected 'dim <n>'"),
+        ("field rational\ndim\n", "expected 'dim <n>'"),
         ("field hyperreal\ndim 1\n", "expected 'field rational'"),
         ("field rational\n", "missing dim"),
         ("", "missing field"),

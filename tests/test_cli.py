@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from isotopelab import Field, c_family, j2, principal_isotope
 from isotopelab.algfile import (
     parse_algebra_text,
@@ -81,6 +83,31 @@ def test_witness_n_zero_is_out_of_range(capsys):
     code, _, err = run(capsys, "witness", "prop1", "--n", "0")
     assert code == 2
     assert "search budget exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "name,option,value",
+    [
+        ("lemma11", "--rho", "1/0"),
+        ("lemma11", "--rho", "abc"),
+        ("theorem1", "--abg", "2,1/0,4"),
+        ("theorem1", "--abg", "2,abc,4"),
+        ("lemma1", "--sigma", "abc"),
+        ("lemma1", "--tau", "1/0"),
+    ],
+)
+def test_witness_malformed_scalar_is_a_parse_error(capsys, name, option, value):
+    code, out, err = run(capsys, "witness", name, option, value)
+    assert code == 2
+    assert out == ""
+    assert f"ParseError: bad {option} value" in err
+
+
+def test_witness_gf_zero_is_not_the_rationals(capsys):
+    code, out, err = run(capsys, "witness", "lemma1", "--gf", "0")
+    assert code == 2
+    assert out == ""
+    assert "modulus 0 is not prime" in err
 
 
 def test_witness_exit_codes_match_verdicts(capsys):

@@ -14,7 +14,7 @@ from isotopelab import (
     rref,
     solve,
 )
-from isotopelab.matrices import _insert
+from isotopelab.matrices import _insert, _spin
 
 rationals = Field.rationals()
 f3 = Field.gf(3)
@@ -239,3 +239,56 @@ def test_elimination_against_independent_oracles(system):
             assert (_insert(raw, rows, pivots, p) is not None) == tracker.add(row)
         assert rows == [[v.value for v in r] for r in tracker.rows]
         assert pivots == tracker.pivots
+
+
+@st.composite
+def spin_cases(draw):
+    """A field among QQ, gf 3, gf 5, one or two seed vectors of length
+    d <= 4 and one to three d x d operators, whose zeros are drawn often so
+    that the closure is often a proper subspace."""
+    field = draw(st.sampled_from([rationals, f3, f5]))
+    d = draw(st.integers(1, 4))
+    pool = (1, -1, 2, Fraction(1, 2)) if field.p is None else tuple(range(1, field.p))
+
+    def vectors(zeros):
+        return st.lists(st.sampled_from((0,) * zeros + pool), min_size=d, max_size=d)
+
+    seeds = draw(st.lists(vectors(1), min_size=1, max_size=2))
+    op_rows = vectors(draw(st.integers(0, 8)))
+    ops = draw(st.lists(st.lists(op_rows, min_size=d, max_size=d), min_size=1, max_size=3))
+    return field, seeds, ops
+
+
+@given(spin_cases())
+def test_spin_matches_word_closure(case):
+    field, seeds, ops = case
+    d, p = len(seeds[0]), field.p
+
+    def times(v, op):
+        return [sum(v[j] * op[j][k] for j in range(d)) for k in range(d)]
+
+    # every word of length <= d in the operators: the spans of the words of
+    # length <= l grow strictly until they are closed, at most d times
+    words, layer = [], list(seeds)
+    for _ in range(d + 1):
+        words += layer
+        layer = [times(v, op) for v in layer for op in ops]
+    if p is None:
+        rows, pivots = _spin(
+            [[field.scalar(x) for x in v] for v in seeds],
+            lambda v: ([field.scalar(x) for x in times(v, op)] for op in ops),
+            d,
+        )
+    else:
+        residue_ops = [[[x % p for x in row] for row in op] for op in ops]
+        rows, pivots = _spin(
+            [[x % p for x in v] for v in seeds],
+            lambda v: ([x % p for x in times(v, op)] for op in residue_ops),
+            d,
+            p,
+        )
+    for r, (row, piv) in enumerate(zip(rows, pivots)):
+        assert next(k for k, x in enumerate(row) if x) == piv
+        assert row[piv] == 1
+        assert all(row[q] == 0 for q in pivots[:r])
+    assert rref(field, rows) == rref(field, words)
