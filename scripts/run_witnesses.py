@@ -23,6 +23,7 @@ def main() -> int:
         ("prop1", {"n": 3}),
         ("prop1", {"n": 8}),
         ("prop2", {"n": 3}),
+        ("prop2", {"n": 8}),
     ]
     failures = 0
     for name, kwargs in jobs:

@@ -41,12 +41,15 @@ def _contract(table, u, v, zero) -> list:
     return out
 
 
-def _operators(tensor) -> list[list]:
-    """The 2n multiplication operators as row lists: R_{e_b} (row i is
-    c_ib.) for every b, then L_{e_b} (row i is c_bi.).  Works on a tensor of
-    Scalars and on one of residues."""
+def _operators(tensor) -> list[tuple[int, list]]:
+    """The multiplication operators as row lists, each tagged with its b:
+    R_{e_b} (row i is c_ib.) for every b, then L_{e_b} (row i is c_bi.) for
+    the b where L_{e_b} != R_{e_b}.  A repeated operator adds nothing to a
+    span closure or a linear system, so a commutative algebra gets n.
+    Works on a tensor of Scalars and on one of residues."""
     n = len(tensor)
-    return [[tensor[i][b] for i in range(n)] for b in range(n)] + [list(t) for t in tensor]
+    rights = [(b, [tensor[i][b] for i in range(n)]) for b in range(n)]
+    return rights + [(b, list(tensor[b])) for b, op in rights if list(tensor[b]) != op]
 
 
 class Algebra:
@@ -256,11 +259,13 @@ def is_commutative(A: Algebra) -> bool:
 
 def find_unit(A: Algebra) -> Element | None:
     """The two-sided unit, found by solving L_u = R_u = I as a linear system:
-    u R_{e_b} = u e_b and u L_{e_b} = e_b u must both be e_b, for every b."""
+    u R_{e_b} = u e_b and u L_{e_b} = e_b u must both be e_b, for every b;
+    an operator that :func:`_operators` tags b gets right-hand side e_b."""
     field, n = A.field, A.n
     one, zero = field.one, field.zero
-    rows = [[op[i][k] for i in range(n)] for op in _operators(A.table) for k in range(n)]
-    rhs = [one if b % n == k else zero for b in range(2 * n) for k in range(n)]
+    ops = _operators(A.table)
+    rows = [[op[i][k] for i in range(n)] for _, op in ops for k in range(n)]
+    rhs = [one if b == k else zero for b, _ in ops for k in range(n)]
     sol = solve(field, rows, rhs)
     if sol is None:
         return None
@@ -309,7 +314,7 @@ def _flatten(m: Matrix) -> list[Scalar]:
 def _exact_envelope_dimension(A: Algebra) -> int:
     # the closure of _residue_envelope_dimension on Scalars and Matrix products
     n = A.n
-    gens = [Matrix(A.field, g) for g in _operators(A.table)]
+    gens = [Matrix(A.field, g) for _, g in _operators(A.table)]
 
     def images(v):
         m = Matrix(A.field, [v[i * n:(i + 1) * n] for i in range(n)])
@@ -332,12 +337,12 @@ def _residues(A: Algebra, p: int) -> list[list[list[int]]] | None:
 def _residue_envelope_dimension(tensor, p: int) -> int:
     """Envelope dimension over F_p of a tensor of residues mod p.
 
-    The span closure of the flattened R_{e_b} and L_{e_b} under right
-    multiplication by each of them, which is enough, since every word in
-    the generators is a generator times generators on the right.
+    The span closure of the flattened operators of :func:`_operators` under
+    right multiplication by each of them, which is enough, since every word
+    in the generators is a generator times generators on the right.
     """
     n = len(tensor)
-    gens = [[c for row in op for c in row] for op in _operators(tensor)]
+    gens = [[c for row in op for c in row] for _, op in _operators(tensor)]
     # columns of each generator, for the flat products m g
     columns = [[g[k::n] for k in range(n)] for g in gens]
 
@@ -391,7 +396,7 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     The bases are built one row at a time: pivot columns in
     ``itertools.combinations`` order, then the free entries with row 0
     slowest, each row's in lexicographic order.  Every row but the last is
-    spun: closed under R_{e_b} and L_{e_b} for all b, which gives the ideal
+    spun: closed under the operators of :func:`_operators`, which gives the ideal
     <v> it generates.  If v lies in an ideal I then <v> lies in I, so every
     leading position of <v> is a pivot column of I; a row whose spin has a
     leading position outside the pivot columns (a spin of all of F_p^n
@@ -410,7 +415,8 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
         )
     n = A.n
     tensor = _residues(A, p)
-    operators = _operators(tensor)
+    operators = [op for _, op in _operators(tensor)]
+    scalars = [Scalar(A.field, r) for r in range(p)]
 
     def images(w):
         return ([c % p for c in _combination(w, op, 0)] for op in operators)
@@ -435,7 +441,9 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
                     for w in basis
                     for op in operators
                 ):
-                    found.append(tuple(A.element(w) for w in basis))
+                    found.append(tuple(
+                        Element._of_scalars(A, tuple([scalars[v] for v in w])) for w in basis
+                    ))
                 continue
             key = tuple(row)
             spun = spins.get(key)

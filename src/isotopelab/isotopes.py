@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import Algebra, Element, _operators, _preserves_products
+from .algebras import Algebra, Element, _preserves_products
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -108,12 +108,13 @@ def r_mult_report(a: Element) -> RMultReport:
 
 
 def right_mult_fibre(A: Algebra, m: Matrix) -> SolveResult | None:
-    """Solution set of R_g = m in the unknown element g, or None."""
+    """Solution set of R_g = m in the unknown element g, or None.  Row i of
+    R_g is e_i g = g L_{e_i}, and (g L_{e_i})_k = sum_j g_j c_ijk: the system
+    needs all n L_{e_i}, so it reads them straight off the tensor."""
     if m.field != A.field or m.n != A.n:
         raise DimensionMismatchError("matrix does not match the algebra")
-    # row i of R_g is e_i g = g L_{e_i}, and (g L_{e_i})_k = sum_j g_j c_ijk
     n = A.n
-    rows = [[op[j][k] for j in range(n)] for op in _operators(A.table)[n:] for k in range(n)]
+    rows = [[cell[k] for cell in A.table[i]] for i in range(n) for k in range(n)]
     rhs = [v for row in m.rows for v in row]
     return solve(A.field, rows, rhs)
 

@@ -52,6 +52,10 @@ WITNESS_NAMES = (
     "prop2",
 )
 
+# the options a pipeline takes besides the field; run_witness rejects any other
+_WITNESS_OPTIONS = {"lemma1": {"sigma", "tau"}, "lemma11": {"rho"}, "theorem1": {"abg"},
+                    "prop1": {"n"}, "prop2": {"n"}}
+
 
 def witness_lemma1(A: Algebra, sigma, tau) -> Certificate:
     """Scaled isotope claim: A^(s 1, t 1) is isomorphic to A through the
@@ -441,8 +445,14 @@ def witness_prop2(n: int, field: Field = QQ) -> Certificate:
 
 
 def run_witness(name: str, **kwargs) -> Certificate:
-    """Dispatch a witness pipeline by name (used by the command line)."""
+    """Dispatch a witness pipeline by name (used by the command line).  An
+    option the pipeline does not take is a DomainError, not ignored."""
     field = kwargs.pop("field", QQ)
+    if name not in WITNESS_NAMES:
+        raise DomainError(f"unknown witness {name!r}; choose from {', '.join(WITNESS_NAMES)}")
+    ignored = sorted(set(kwargs) - _WITNESS_OPTIONS.get(name, set()))
+    if ignored:
+        raise DomainError(f"{name} does not take " + ", ".join(f"--{k}" for k in ignored))
     if name == "lemma1":
         sigma = kwargs.pop("sigma", 2)
         tau = kwargs.pop("tau", 3)
@@ -469,6 +479,4 @@ def run_witness(name: str, **kwargs) -> Certificate:
     n = kwargs.get("n")
     if name == "prop1":
         return witness_prop1(2 if n is None else n, field=field)
-    if name == "prop2":
-        return witness_prop2(2 if n is None else n, field=field)
-    raise DomainError(f"unknown witness {name!r}; choose from {', '.join(WITNESS_NAMES)}")
+    return witness_prop2(2 if n is None else n, field=field)

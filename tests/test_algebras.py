@@ -30,7 +30,7 @@ from isotopelab import (
     nil_set_bruteforce,
     verify_isomorphism,
 )
-from isotopelab.algebras import ENVELOPE_PRIME, _envelope
+from isotopelab.algebras import ENVELOPE_PRIME, _envelope, _operators
 from isotopelab.matrices import random_invertible
 
 QQ = Field.rationals()
@@ -40,6 +40,22 @@ F5 = Field.gf(5)
 
 def coords(el):
     return tuple(s.value for s in el.coords)
+
+
+# e_0 is a two-sided unit and e_1 e_2 = e_1, e_2 e_1 = 0: L_{e_0} = R_{e_0},
+# while L_{e_b} != R_{e_b} for b = 1, 2
+PARTLY_CENTRAL = Algebra.from_products(
+    QQ,
+    3,
+    {
+        (0, 0): [1, 0, 0],
+        (0, 1): [0, 1, 0],
+        (1, 0): [0, 1, 0],
+        (0, 2): [0, 0, 1],
+        (2, 0): [0, 0, 1],
+        (1, 2): [0, 1, 0],
+    },
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +162,38 @@ def test_noncommutative_products_against_triple_sum(case):
         assert [coords(e) for e in nil_set_bruteforce(A)] == expected
 
 
+def _expected_operators(A):
+    """(b, rows of R_{e_b}) for every b, then (b, rows of L_{e_b}) for each
+    b where the two matrices differ."""
+    basis = A.basis()
+    rights = [(b, e.right_mult_matrix().rows) for b, e in enumerate(basis)]
+    lefts = [(b, e.left_mult_matrix().rows) for b, e in enumerate(basis)]
+    return rights + [left for left, right in zip(lefts, rights) if left != right]
+
+
+def _listed_operators(A):
+    return [(b, tuple(op)) for b, op in _operators(A.table)]
+
+
+def test_operators_list_each_operator_once():
+    # a commutative algebra gets its n right multiplications only
+    for A in catalog_algebras(QQ).values():
+        assert len(_operators(A.table)) == A.n
+        assert _listed_operators(A) == _expected_operators(A)
+    assert [b for b, _ in _operators(PARTLY_CENTRAL.table)] == [0, 1, 2, 1, 2]
+    assert _listed_operators(PARTLY_CENTRAL) == _expected_operators(PARTLY_CENTRAL)
+
+
+@given(noncommutative_tensors())
+def test_operators_add_the_left_multiplications_that_differ(case):
+    field, c, _, _ = case
+    A = Algebra(field, c)
+    n = A.n
+    differ = [b for b in range(n) if any(c[i][b] != c[b][i] for i in range(n))]
+    assert len(_operators(A.table)) == n + len(differ)
+    assert _listed_operators(A) == _expected_operators(A)
+
+
 # ---------------------------------------------------------------------------
 # units and commutativity
 # ---------------------------------------------------------------------------
@@ -155,6 +203,17 @@ def test_find_unit():
     assert find_unit(c2(QQ)) is None
     assert find_unit(c3(QQ)) is None
     u = find_unit(c_family(QQ, 2, 3, 4))
+    assert u is not None and coords(u) == (1, 0, 0)
+
+
+def test_find_unit_needs_the_left_multiplications():
+    # e_0 e_j = e_j for every j, so each e_0 + t e_1 solves u R_{e_b} = e_b
+    # for every b; only u L_{e_1} = e_1 u = e_1 fails, as e_1 e_0 = 0
+    A = Algebra.from_products(QQ, 2, {(0, 0): [1, 0], (0, 1): [0, 1]})
+    e0, e1 = A.basis()
+    assert all(e0 * e == e for e in (e0, e1)) and (e1 * e0).is_zero
+    assert find_unit(A) is None
+    u = find_unit(PARTLY_CENTRAL)
     assert u is not None and coords(u) == (1, 0, 0)
 
 
@@ -460,6 +519,7 @@ G2_SCALED = [scaled(g_n(QQ, 2), f) for f in (ENVELOPE_PRIME, Fraction(1, ENVELOP
 @given(small_tensor_algebras())
 @example(G2_SCALED[0])
 @example(G2_SCALED[1])
+@example(PARTLY_CENTRAL)
 def test_envelope_dimension_matches_exact_oracle(A):
     assert envelope_dimension(A) == envelope_dim_oracle(A)
 

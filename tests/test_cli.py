@@ -103,6 +103,25 @@ def test_witness_malformed_scalar_is_a_parse_error(capsys, name, option, value):
     assert f"ParseError: bad {option} value" in err
 
 
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["prop1", "--n", "3", "--rho", "5"], "--rho"),
+        (["theorem2", "--rho", "5"], "--rho"),
+        (["lemma11", "--rho", "1", "--abg", "2,1,4"], "--abg"),
+        (["prop2", "--sigma", "2"], "--sigma"),
+        (["lemma6", "--tau", "3"], "--tau"),
+        (["lemma1", "--n", "3"], "--n"),
+        (["theorem1", "--abg", "2,1,4", "--n", "3"], "--n"),
+    ],
+)
+def test_witness_rejects_an_option_its_pipeline_ignores(capsys, args, option):
+    code, out, err = run(capsys, "witness", *args)
+    assert code == 2
+    assert out == ""
+    assert f"DomainError: {args[0]} does not take {option}" in err
+
+
 def test_witness_gf_zero_is_not_the_rationals(capsys):
     code, out, err = run(capsys, "witness", "lemma1", "--gf", "0")
     assert code == 2

@@ -252,6 +252,11 @@ def test_run_witness_dispatch():
         run_witness("theorem1", abg=(1, 2))
     with pytest.raises(DomainError):
         run_witness("nope")
+    # an option the pipeline does not take is an error, not ignored
+    with pytest.raises(DomainError, match="prop1 does not take --rho"):
+        run_witness("prop1", n=3, rho=Fraction(5))
+    with pytest.raises(DomainError, match="lemma6 does not take --n, --sigma"):
+        run_witness("lemma6", sigma=2, n=3)
     # n = 0 is out of range, not a request for the default n = 2
     for name in ("prop1", "prop2"):
         with pytest.raises(SearchBudgetExceededError):
