@@ -6,27 +6,26 @@ family, where eliminating the quadratic system for a nil element
 ``l 1 + s x + t y`` gives a closed criterion: a nil element with l != 0
 exists iff beta gamma = -2 alpha (alpha != 0), with witness
 ``1 - x / gamma - y / beta``.  The brute-force route enumerates a prime
-field; it carries a closure caveat because rational or prime-field points
-can miss nil elements that only appear over the algebraic closure.  Since
-(c v)^2 = c^2 v^2, it tests one vector per line through the origin (the one
-whose leading nonzero coordinate is 1).  That vector is y + t e_last with
-y_last = 0, and its square y^2 + t (y e_last + e_last y) + t^2 e_last^2 is
-a quadratic in t: one contraction and one combination per y decide p
-points.  The rank pass reduces only the leading-1 points as raw residues
-mod p, which gives the same greedy witnesses, since a multiple c v is in a
-span iff v is and v comes first.
+field, with a closure caveat: its points can miss nil elements that only
+appear over the algebraic closure.  Since (c v)^2 = c^2 v^2, it scans the
+leading-1 point of each line through the origin, y + s e_k + t e_last
+(k = n - 2, y_k = y_last = 0), stepping s by forward differences and
+taking t from the roots of a quadratic mod p (see ``_nil_lines``).  The
+rank pass tests only these points, against the annihilator of the span so
+far: a multiple c v is in a span iff v is, and v comes first.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from operator import add, mul
 
 from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Scalar, _is_prime
-from .matrices import _combination, _insert
+from .matrices import _combination
 
 BRUTE_FORCE_BUDGET = 10**6
 
@@ -56,6 +55,62 @@ def is_nil_index2(a: Element) -> bool:
     return not a.is_zero and a.square().is_zero
 
 
+def _roots(sq, lin, quad, p, root):
+    """The t in 0..p-1, ascending, with sq + t lin + t^2 quad = 0 mod p in
+    every coordinate; ``root`` maps each square residue to a square root."""
+    for a, b, c in zip(sq, lin, quad):
+        a, b = a % p, b % p
+        if c:
+            r = root.get((b * b - 4 * a * c) % p)
+            if r is None:
+                return ()
+            inv = pow(2 * c, -1, p)
+            cands = sorted({(r - b) * inv % p, (-r - b) * inv % p})
+        elif a or b:
+            cands = (-a * pow(b, -1, p) % p,) if b else ()
+        else:
+            continue
+        terms = list(zip(sq, lin, quad))
+        return [t for t in cands if not any([(a + t * (b + t * c)) % p for a, b, c in terms])]
+    return range(p)
+
+
+def _nil_lines(tensor, p: int):
+    """For lead = n-1 down to 0, the nil points whose first nonzero
+    coordinate is a 1 at ``lead``, in lexicographic order.  The point
+    y + s e_k + t e_last squares to S + t B + t^2 e_last^2, S = (y + s e_k)^2
+    and B = (y + s e_k) e_last + e_last (y + s e_k).  One contraction and one
+    combination per y give S, B and D = S(1) - S(0); each further s costs
+    three vector additions, and t runs over the roots of the first
+    coordinate's quadratic that is not identically 0, checked on all."""
+    n = len(tensor)
+    last, k = n - 1, n - 2
+    quad = tensor[last][last]
+    yield [] if any(quad) else [(0,) * last + (1,)]
+    if n == 1:
+        return
+    root = {r * r % p: r for r in range(p)}
+    # row i: e_i e_k + e_k e_i, then e_i e_last + e_last e_i
+    cross = [[u + v for u, v in zip(tensor[i][k] + tensor[i][last], tensor[k][i] + tensor[last][i])]
+             for i in range(n)]
+    sq_k, step_b, step_d = tensor[k][k], cross[k][n:], [2 * c for c in tensor[k][k]]
+    yield [(0,) * k + (1, t) for t in _roots(sq_k, step_b, quad, p, root)]
+    for lead in reversed(range(k)):
+        lines = []
+        for outer in itertools.product(range(p), repeat=k - lead - 1):
+            prefix = (0,) * lead + (1,) + outer
+            y = prefix + (0, 0)
+            sq = _contract(tensor, y, y, 0)
+            lin = _combination(y, cross, 0)
+            diff, lin = list(map(add, lin, sq_k)), lin[n:]
+            for s in range(p):
+                lines.extend(prefix + (s, t) for t in _roots(sq, lin, quad, p, root))
+                sq = list(map(add, sq, diff))  # S += D
+                diff = list(map(add, diff, step_d))  # D += 2 e_k^2
+                lin = list(map(add, lin, step_b))  # B += e_k e_last + e_last e_k
+        yield lines
+
+
 def nil_set_bruteforce(A: Algebra) -> list[Element]:
     """Every nonzero element with zero square, in lexicographic coordinate
     order.  Requires a prime field with p^n <= 10^6."""
@@ -66,60 +121,50 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
         raise SearchBudgetExceededError(
             f"nil enumeration infeasible: {p}^{A.n} > {BRUTE_FORCE_BUDGET}"
         )
-    n = A.n
-    last = n - 1
-    tensor = _residues(A, p)
-    # x = y + t e_last with y_last = 0 squares to
-    # y^2 + t (y e_last + e_last y) + t^2 e_last^2: one contraction per p points
-    cross = [[u + v for u, v in zip(tensor[i][last], tensor[last][i])] for i in range(n)]
-    quad = tensor[last][last]
-    out = []
-    # a line is nil iff its point with leading coordinate 1 is; lexicographic
-    # order lists the points with more leading zeros first
-    for lead in reversed(range(n)):
-        head = (0,) * lead + (1,)
-        if lead == last:
-            lines = [] if any(quad) else [head]
-        else:
-            lines = []
-            for mid in itertools.product(range(p), repeat=last - lead - 1):
-                y = head + mid + (0,)
-                terms = list(zip(_contract(tensor, y, y, 0), _combination(y, cross, 0), quad))
-                for t in range(p):
-                    for a, b, c in terms:
-                        if (a + t * (b + t * c)) % p:
-                            break
-                    else:
-                        lines.append(head + mid + (t,))
-        block = [tuple(c * v % p for v in vec) for vec in lines for c in range(1, p)]
-        block.sort()
-        out.extend(block)
-    scalars = [Scalar(A.field, r) for r in range(p)]
-    return [Element._of_scalars(A, tuple([scalars[v] for v in vec])) for vec in out]
+    out, scalar, new = [], None, object.__new__
+    # a line is nil iff its leading-1 point is; the c-multiples of a block
+    # lead with c, so its sorted groups for c = 1, 2, ... are in order
+    for lines in _nil_lines(_residues(A, p), p):
+        if not lines:
+            continue
+        # built at the first nil line, whose multiples hold every nonzero residue
+        scalar = scalar or [Scalar(A.field, r) for r in range(p)].__getitem__
+        cols = list(zip(*lines))  # columnwise: a few long loops, not many short ones
+        for c in range(1, p):
+            group = sorted(zip(*[[c * v % p for v in col] for col in cols]))
+            for coords in zip(*[map(scalar, col) for col in zip(*group)]):
+                el = new(Element)
+                el.algebra = A
+                el.coords = coords
+                out.append(el)
+    return out
 
 
 def nil_rank_bruteforce(A: Algebra) -> NilReport:
     """Rank of the span of the brute-force nil set, with witnesses extracted
-    greedily in scan order.  Only the points whose leading nonzero
-    coordinate is 1 are reduced: a multiple c v is in the span iff v is, and
-    v comes first, so the witnesses are the same."""
-    nils = nil_set_bruteforce(A)
+    greedily in scan order.  Only leading-1 points are tested (c v is in a
+    span iff v is, and v comes first), each against ``ann``, a basis of the
+    h with h . w = 0 for every witness w so far."""
     p, n = A.field.p, A.n
-    rows, pivots, witnesses = [], [], []
-    for el in nils:
-        vec = [c.value for c in el.coords]
-        if next(filter(None, vec)) != 1:
-            continue
-        if _insert(vec, rows, pivots, p) is not None:
-            witnesses.append(el)
-            if len(witnesses) == n:
+    ann = [[int(i == j) for j in range(n)] for i in range(n)]
+    witnesses = []
+    for el in nil_set_bruteforce(A):
+        for s in el.coords:
+            if s.value:
                 break
-    return NilReport(
-        rank=len(witnesses),
-        witnesses=tuple(witnesses),
-        method=METHOD_BRUTE_FP,
-        closure_caveat=True,
-    )
+        if s.value != 1:
+            continue
+        vec = [s.value for s in el.coords]
+        dots = [sum(map(mul, h, vec)) % p for h in ann]
+        i = next((i for i, d in enumerate(dots) if d), None)
+        if i is not None:
+            witnesses.append(el)
+            # clear h . vec from the other rows with row i: the new span's basis
+            h0, inv = ann.pop(i), pow(dots.pop(i), -1, p)
+            ann = [[(u - d * inv * v) % p for u, v in zip(h, h0)] for h, d in zip(ann, dots)]
+            if not ann:
+                break
+    return NilReport(len(witnesses), tuple(witnesses), METHOD_BRUTE_FP, closure_caveat=True)
 
 
 def nil_rank_exact_C(alpha: Scalar, beta, gamma) -> NilReport:

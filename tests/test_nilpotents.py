@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given
@@ -23,6 +24,7 @@ from isotopelab import (
     nil_set_bruteforce,
     span_rank,
 )
+from isotopelab import nilpotents
 from isotopelab.nilpotents import BRUTE_FORCE_BUDGET
 
 QQ = Field.rationals()
@@ -257,6 +259,19 @@ def small_tensors(draw):
 @example((3, [[[0, 0], [1, 0]], [[2, 0], [0, 0]]]))
 # e1 e1 = e0 over gf 5: the nils are the line of e0, cut out by the t^2 term
 @example((5, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]))
+# (a, b, t)^2 = (0, a^2 + b^2, t^2): coordinate 0 is identically zero, so t
+# comes from coordinate 1, or from coordinate 2 where a^2 + b^2 = 0
+@example((5, [[[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+              [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]))
+# e_last^2 = 0: (a, b, t)^2 = (a^2 + 6 a t, 0, b^2) is linear in t
+@example((7, [[[1, 0, 0], [0, 0, 0], [3, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+              [[3, 0, 0], [0, 0, 0], [0, 0, 0]]]))
+# a dense standard isotope of G_3 mod 7 (342 nils, nil-rank 3): s runs
+# through all of 0..6 below every outer coordinate
+@example((7, [[[6, 3, 1, 2], [6, 6, 6, 2], [3, 6, 5, 3], [3, 0, 1, 4]],
+              [[6, 6, 6, 2], [3, 2, 6, 1], [0, 0, 5, 6], [6, 1, 2, 4]],
+              [[3, 6, 5, 3], [0, 0, 5, 6], [2, 6, 3, 6], [1, 4, 4, 6]],
+              [[3, 0, 1, 4], [6, 1, 2, 4], [1, 4, 4, 6], [2, 2, 0, 1]]]))
 @given(small_tensors())
 def test_nil_scan_matches_full_point_scan(case):
     p, table = case
@@ -270,3 +285,31 @@ def test_nil_scan_matches_full_point_scan(case):
     report = nil_rank_bruteforce(A)
     assert report.rank == len(witnesses)
     assert tuple(coords(w) for w in report.witnesses) == tuple(witnesses)
+
+
+def test_empty_nil_set_over_a_large_prime_builds_no_scalars(monkeypatch):
+    # e0^2 = e0 over gf 999983 has no nil element; no per-residue Scalar
+    # table may be built for an empty output
+    built = []
+    monkeypatch.setattr(nilpotents, "Scalar", lambda *args: built.append(args) or Scalar(*args))
+    A = Algebra(Field.gf(999983), [[[1]]])
+    assert nil_set_bruteforce(A) == []
+    report = nil_rank_bruteforce(A)
+    assert report.rank == 0 and report.witnesses == ()
+    assert built == []
+
+
+def test_bruteforce_matches_exact_c_over_gf97():
+    F = Field.gf(97)
+    rng = random.Random(97)
+    # two rank-3 members (beta gamma = -2 alpha), then three seeded triples
+    triples = [(a, b, -2 * a * pow(b, -1, 97) % 97) for a, b in [(1, 1), (5, 30)]]
+    triples += [(rng.randrange(1, 97), rng.randrange(97), rng.randrange(97)) for _ in range(3)]
+    ranks = []
+    for a, b, g in triples:
+        exact = nil_rank_exact_C(F.scalar(a), b, g)
+        brute = nil_rank_bruteforce(c_family(F, a, b, g))
+        assert brute.rank == exact.rank, (a, b, g)
+        assert all(is_nil_index2(w) for w in brute.witnesses)
+        ranks.append(brute.rank)
+    assert ranks[:2] == [3, 3] and 2 in ranks
