@@ -9,7 +9,6 @@ Everything is immutable and exact.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 
 from .errors import (
@@ -342,16 +341,14 @@ def _residue_envelope_dimension(tensor, p: int) -> int:
     in the generators is a generator times generators on the right.
     """
     n = len(tensor)
-    gens = [[c for row in op for c in row] for _, op in _operators(tensor)]
-    # columns of each generator, for the flat products m g
-    columns = [[g[k::n] for k in range(n)] for g in gens]
+    ops = [op for _, op in _operators(tensor)]
 
     def images(m):
         m_rows = [m[i * n:(i + 1) * n] for i in range(n)]
-        for cols in columns:
-            yield [sum(map(operator.mul, r, col)) % p for r in m_rows for col in cols]
+        for g in ops:
+            yield [c % p for r in m_rows for c in _combination(r, g, 0)]
 
-    return len(_spin(gens, images, n * n, p)[0])
+    return len(_spin([[c for row in g for c in row] for g in ops], images, n * n, p)[0])
 
 
 def _envelope(A: Algebra) -> tuple[int, int | None]:

@@ -46,42 +46,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--p", type=int, default=None, help="prime for the nil-rank reduction")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("rmul", help="right-multiplication operator of an element")
     p.add_argument("file")
     p.add_argument("--elem", required=True, help="coordinates, e.g. 1,-3/2,0")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_rmul)
 
     p = sub.add_parser("isotope", help="write a principal isotope A^(f, g)")
     p.add_argument("file")
     p.add_argument("--f", required=True, dest="f_file", help="matrix file for f")
     p.add_argument("--g", dest="g_file", help="matrix file for g (default: f)")
     p.add_argument("-o", "--out", required=True)
+    p.set_defaults(handler=_cmd_isotope)
 
     p = sub.add_parser("express-rmul", help="solve R_g = M for an element g")
     p.add_argument("file")
     p.add_argument("--mat", required=True, help="matrix file for M")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_express_rmul)
 
     p = sub.add_parser("iso-search", help="exhaustive isomorphism search (small gf only)")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_iso_search)
 
     p = sub.add_parser("nilrank", help="nil-rank report")
     p.add_argument("file")
     p.add_argument("--p", type=int, default=None, help="prime for the rational reduction")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_nilrank)
 
     p = sub.add_parser("witness", help="run a certificate pipeline")
     p.add_argument("name", choices=WITNESS_NAMES)
-    p.add_argument("--rho", help="parameter for lemma11 (int or num/den)")
-    p.add_argument("--n", type=int, help="parameter for prop1/prop2")
-    p.add_argument("--abg", help="alpha,beta,gamma for theorem1")
-    p.add_argument("--sigma", help="scaling for lemma1 (default 2)")
-    p.add_argument("--tau", help="scaling for lemma1 (default 3)")
+    p.add_argument("--rho", help="a scalar (int or num/den)")
+    p.add_argument("--n", type=int, help="an integer")
+    p.add_argument("--abg", help="three comma-separated scalars")
+    p.add_argument("--sigma", help="a nonzero scalar")
+    p.add_argument("--tau", help="a nonzero scalar")
     p.add_argument("--gf", type=int, help="run over gf <p> instead of the rationals")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_witness)
     return parser
 
 
@@ -232,7 +239,9 @@ def _cmd_nilrank(args) -> int:
     return 0
 
 
-def _parse_scalar_arg(text: str, option: str) -> Fraction:
+def _parse_scalar_arg(text: str | None, option: str) -> Fraction | None:
+    if text is None:
+        return None
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -241,18 +250,13 @@ def _parse_scalar_arg(text: str, option: str) -> Fraction:
 
 def _cmd_witness(args) -> int:
     field = Field.gf(args.gf) if args.gf is not None else Field.rationals()
-    kwargs = {"field": field}
-    if args.rho is not None:
-        kwargs["rho"] = _parse_scalar_arg(args.rho, "--rho")
-    if args.n is not None:
-        kwargs["n"] = args.n
+    rho = _parse_scalar_arg(args.rho, "--rho")
+    abg = None
     if args.abg is not None:
-        kwargs["abg"] = tuple(_parse_scalar_arg(t, "--abg") for t in args.abg.split(","))
-    if args.sigma is not None:
-        kwargs["sigma"] = _parse_scalar_arg(args.sigma, "--sigma")
-    if args.tau is not None:
-        kwargs["tau"] = _parse_scalar_arg(args.tau, "--tau")
-    cert = run_witness(args.name, **kwargs)
+        abg = tuple(_parse_scalar_arg(t, "--abg") for t in args.abg.split(","))
+    sigma = _parse_scalar_arg(args.sigma, "--sigma")
+    tau = _parse_scalar_arg(args.tau, "--tau")
+    cert = run_witness(args.name, field, rho=rho, n=args.n, abg=abg, sigma=sigma, tau=tau)
     _emit(cert.as_dict(), args.json, cert.render())
     return 0 if cert.verdict else 1
 
@@ -260,17 +264,8 @@ def _cmd_witness(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "rmul": _cmd_rmul,
-        "isotope": _cmd_isotope,
-        "express-rmul": _cmd_express_rmul,
-        "iso-search": _cmd_iso_search,
-        "nilrank": _cmd_nilrank,
-        "witness": _cmd_witness,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except SearchBudgetExceededError as exc:
         print(f"error: search budget exceeded: {exc}", file=sys.stderr)
         return 2

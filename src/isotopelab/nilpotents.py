@@ -24,7 +24,7 @@ from operator import add, mul
 from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
-from .fields import Scalar, _is_prime
+from .fields import Field, Scalar, _is_prime
 from .matrices import _combination
 
 BRUTE_FORCE_BUDGET = 10**6
@@ -212,9 +212,11 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
     literal C(alpha, beta, gamma) form use the exact criterion; any other
     rational algebra is reduced mod an odd prime (p, or the smallest
     feasible one) and enumerated, with the closure caveat and
-    ``reduced_mod`` set.  A prime p given with a prime-field algebra must
-    be that field's characteristic.
+    ``reduced_mod`` set.  A given p must be an odd prime, whatever the
+    route, and with a prime-field algebra that field's characteristic.
     """
+    if p is not None:
+        Field.gf(p)  # rejects a p that is not an odd prime
     if A.field.p is not None:
         if p is not None and p != A.field.p:
             raise DomainError(f"algebra over {A.field} cannot be reduced mod {p}")
@@ -224,12 +226,8 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
         return nil_rank_exact_C(*params)
     if p is None:
         p = 3
-        while not _reducible(A, p):
+        while not (_is_prime(p) and _residues(A, p) is not None):
             p += 2
-    elif not _reducible(A, p):
+    elif _residues(A, p) is None:
         raise DomainError(f"structure constants are not reducible mod {p}")
     return replace(nil_rank_bruteforce(A.reduce_mod(p)), reduced_mod=p)
-
-
-def _reducible(A: Algebra, p: int) -> bool:
-    return p != 2 and _is_prime(p) and _residues(A, p) is not None

@@ -41,21 +41,6 @@ from .isotopes import (
 from .matrices import Matrix, SpanTracker
 from .nilpotents import nil_rank_exact_C
 
-WITNESS_NAMES = (
-    "lemma1",
-    "lemma6",
-    "lemma10",
-    "lemma11",
-    "theorem1",
-    "theorem2",
-    "prop1",
-    "prop2",
-)
-
-# the options a pipeline takes besides the field; run_witness rejects any other
-_WITNESS_OPTIONS = {"lemma1": {"sigma", "tau"}, "lemma11": {"rho"}, "theorem1": {"abg"},
-                    "prop1": {"n"}, "prop2": {"n"}}
-
 
 def witness_lemma1(A: Algebra, sigma, tau) -> Certificate:
     """Scaled isotope claim: A^(s 1, t 1) is isomorphic to A through the
@@ -444,39 +429,59 @@ def witness_prop2(n: int, field: Field = QQ) -> Certificate:
     return cert
 
 
-def run_witness(name: str, **kwargs) -> Certificate:
-    """Dispatch a witness pipeline by name (used by the command line).  An
-    option the pipeline does not take is a DomainError, not ignored."""
-    field = kwargs.pop("field", QQ)
-    if name not in WITNESS_NAMES:
+def _lemma1_catalog(sigma, tau, field: Field = QQ) -> Certificate:
+    """lemma1 on every catalog algebra, one merged block per algebra."""
+    cert = Certificate(f"lemma1 across the catalog (sigma = {sigma}, tau = {tau})")
+    for label, A in catalog_algebras(field).items():
+        cert.merge(witness_lemma1(A, sigma, tau), prefix=label)
+    return cert
+
+
+def _theorem1(abg, field: Field = QQ) -> Certificate:
+    if len(abg) != 3:
+        raise _needs("theorem1", "abg")
+    return witness_theorem1(*abg, field=field)
+
+
+class _Required(str):
+    """Stands in for the default of an option its pipeline cannot run
+    without; the text spells the value in the error message."""
+
+
+# Each pipeline by name: the function that runs it, called with the field and
+# every option by keyword, and the default of each option it takes.  Each is
+# a lambda so that a run looks up the module attribute a tracer may wrap.
+PIPELINES = {
+    "lemma1": (lambda **kw: _lemma1_catalog(**kw), {"sigma": 2, "tau": 3}),
+    "lemma6": (lambda **kw: witness_lemma6(**kw), {}),
+    "lemma10": (lambda **kw: witness_lemma10(**kw), {}),
+    "lemma11": (lambda **kw: witness_lemma11(**kw), {"rho": _Required()}),
+    "theorem1": (lambda **kw: _theorem1(**kw), {"abg": _Required("alpha,beta,gamma")}),
+    "theorem2": (lambda **kw: witness_theorem2(**kw), {}),
+    "prop1": (lambda **kw: witness_prop1(**kw), {"n": 2}),
+    "prop2": (lambda **kw: witness_prop2(**kw), {"n": 2}),
+}
+
+WITNESS_NAMES = tuple(PIPELINES)
+
+
+def _needs(name: str, option: str) -> DomainError:
+    return DomainError(f"{name} needs --{option} {PIPELINES[name][1][option]}".rstrip())
+
+
+def run_witness(name: str, field: Field = QQ, **options) -> Certificate:
+    """Run a witness pipeline by name (used by the command line).  An option
+    given as None counts as not given; an option the pipeline does not take
+    is a DomainError, not ignored."""
+    if name not in PIPELINES:
         raise DomainError(f"unknown witness {name!r}; choose from {', '.join(WITNESS_NAMES)}")
-    ignored = sorted(set(kwargs) - _WITNESS_OPTIONS.get(name, set()))
+    pipeline, defaults = PIPELINES[name]
+    given = {k: v for k, v in options.items() if v is not None}
+    ignored = sorted(set(given) - set(defaults))
     if ignored:
         raise DomainError(f"{name} does not take " + ", ".join(f"--{k}" for k in ignored))
-    if name == "lemma1":
-        sigma = kwargs.pop("sigma", 2)
-        tau = kwargs.pop("tau", 3)
-        cert = Certificate(f"lemma1 across the catalog (sigma = {sigma}, tau = {tau})")
-        for label, A in catalog_algebras(field).items():
-            sub = witness_lemma1(A, sigma, tau)
-            cert.merge(sub, prefix=label)
-        return cert
-    if name == "lemma6":
-        return witness_lemma6(field)
-    if name == "lemma10":
-        return witness_lemma10(field)
-    if name == "lemma11":
-        if "rho" not in kwargs or kwargs["rho"] is None:
-            raise DomainError("lemma11 needs --rho")
-        return witness_lemma11(kwargs["rho"], field=field)
-    if name == "theorem1":
-        abg = kwargs.get("abg")
-        if not abg or len(abg) != 3:
-            raise DomainError("theorem1 needs --abg alpha,beta,gamma")
-        return witness_theorem1(*abg, field=field)
-    if name == "theorem2":
-        return witness_theorem2(field)
-    n = kwargs.get("n")
-    if name == "prop1":
-        return witness_prop1(2 if n is None else n, field=field)
-    return witness_prop2(2 if n is None else n, field=field)
+    kwargs = {**defaults, **given}
+    for option, value in kwargs.items():
+        if isinstance(value, _Required):
+            raise _needs(name, option)
+    return pipeline(field=field, **kwargs)

@@ -79,6 +79,21 @@ def test_witness_lemma11_domain_error(capsys):
     assert "DomainError" in err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["lemma11"], "lemma11 needs --rho"),
+        (["theorem1"], "theorem1 needs --abg alpha,beta,gamma"),
+        (["theorem1", "--abg", "1,2"], "theorem1 needs --abg alpha,beta,gamma"),
+    ],
+)
+def test_witness_missing_option_message(capsys, args, message):
+    code, out, err = run(capsys, "witness", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: DomainError: {message}\n"
+
+
 def test_witness_n_zero_is_out_of_range(capsys):
     code, _, err = run(capsys, "witness", "prop1", "--n", "0")
     assert code == 2
@@ -180,6 +195,27 @@ def test_nilrank_rejects_a_foreign_prime_on_a_gf_file(tmp_path, capsys):
     code, out, _ = run(capsys, "nilrank", str(path), "--p", "7")
     assert code == 0
     assert "reduced mod" not in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nilrank", "j2.alg", "--p", "4"],
+        ["nilrank", "g2.alg", "--p", "4"],
+        ["analyze", "j2.alg", "--p", "4"],
+        ["nilrank", "j2.alg", "--p", "2"],
+        ["analyze", "j2.alg", "--p", "2"],
+    ],
+)
+def test_nil_rank_p_must_be_an_odd_prime_on_every_route(capsys, args):
+    command, name, *rest = args
+    code, out, err = run(capsys, command, str(ALGEBRAS / name), *rest)
+    assert code == 2
+    assert out == ""
+    if rest[1] == "4":
+        assert err == "error: DomainError: modulus 4 is not prime\n"
+    else:
+        assert err == "error: Char2FieldError: characteristic 2 is not supported\n"
 
 
 def test_isotope_writes_file(tmp_path, capsys):

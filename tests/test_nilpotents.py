@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from isotopelab import (
     Algebra,
+    Char2FieldError,
     DomainError,
     Field,
     Scalar,
@@ -177,6 +178,15 @@ def test_nil_rank_dispatcher():
     assert report.reduced_mod == 7
     with pytest.raises(DomainError):
         nil_rank(c2(QQ), p=4)
+
+
+def test_nil_rank_rejects_a_p_that_is_not_an_odd_prime_on_every_route():
+    # the exact C-form route ignores p, yet p must still be an odd prime
+    for A in (j2(QQ), c_rho(QQ, -2), c2(QQ), g_n(QQ, 2), j2(F5)):
+        with pytest.raises(DomainError, match="modulus 4 is not prime"):
+            nil_rank(A, p=4)
+        with pytest.raises(Char2FieldError):
+            nil_rank(A, p=2)
 
 
 def test_nil_rank_rejects_a_foreign_prime_on_a_prime_field():

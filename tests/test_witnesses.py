@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +25,7 @@ from isotopelab import (
     witness_theorem1,
     witness_theorem2,
 )
+from isotopelab.witnesses import PIPELINES, WITNESS_NAMES
 
 QQ = Field.rationals()
 F3 = Field.gf(3)
@@ -261,6 +266,47 @@ def test_run_witness_dispatch():
     for name in ("prop1", "prop2"):
         with pytest.raises(SearchBudgetExceededError):
             run_witness(name, n=0)
+
+
+def _outcome(name, **options):
+    """The certificate of a run as a dict, or the message it was refused with."""
+    try:
+        return run_witness(name, **options).as_dict()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@pytest.mark.parametrize("name", WITNESS_NAMES)
+def test_run_witness_none_means_not_given(name):
+    options = PIPELINES[name][1]
+    for option in options:
+        assert _outcome(name, **{option: None}) == _outcome(name)
+    # None for an option the pipeline does not take is not given either
+    assert _outcome(name, rho=None, n=None, abg=None, sigma=None, tau=None) == _outcome(name)
+
+
+def test_run_witness_messages_word_for_word():
+    needs_abg = "DomainError: theorem1 needs --abg alpha,beta,gamma"
+    assert _outcome("lemma11") == "DomainError: lemma11 needs --rho"
+    assert _outcome("theorem1") == needs_abg
+    assert _outcome("theorem1", abg=(1, 2)) == needs_abg
+    assert _outcome("theorem1", abg=(1, 2, 3, 4)) == needs_abg
+    assert _outcome("nope") == (
+        "DomainError: unknown witness 'nope'; choose from lemma1, lemma6, lemma10, "
+        "lemma11, theorem1, theorem2, prop1, prop2"
+    )
+
+
+def test_run_witnesses_script_matches_golden():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_witnesses.py")],
+        cwd=root, env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (root / "tests" / "data" / "run_witnesses.txt").read_bytes()
 
 
 def test_witness_json_shape():
