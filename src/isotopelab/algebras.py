@@ -18,7 +18,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, _combination, _reduce, _spin, row_rank, solve
+from .matrices import Matrix, _combination, _insert, _reduce, _spin, row_rank, solve
 
 
 def _contract(table, u, v, zero) -> list:
@@ -475,16 +475,84 @@ def verify_isomorphism(A: Algebra, B: Algebra, xi: Matrix) -> bool:
     return xi.is_invertible() and _preserves_products(A, B, xi, xi, xi)
 
 
+def _solutions(maps, n: int, p: int):
+    """The points x of F_p^n where every affine map in ``maps`` (a callable
+    from n residues to a vector of ints) vanishes mod p, in lexicographic
+    order.  Every map is called before the first point is yielded.
+
+    A map d gives the equations sum_m x_m (d(e_m) - d(0))_k = -d(0)_k, each
+    of which enters :func:`~isotopelab.matrices._insert` with its unknowns
+    reversed, so a basis row gives its last unknown from the earlier ones.
+    The free unknowns run through F_p with the first one slowest and each
+    solved one follows the unknowns before it, which lists the points in
+    lexicographic order.  Once one point is left, the remaining maps are
+    only evaluated there."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    reversed_basis = [tuple(int(m == k) for k in range(n)) for m in reversed(range(n))]
+
+    def points():
+        solved = {n - 1 - piv: row for piv, row in zip(pivots, rows)}
+        free = [j for j in range(n) if j not in solved]
+        order = sorted(solved.items())
+        x = [0] * n
+        for values in itertools.product(range(p), repeat=len(free)):
+            for j, v in zip(free, values):
+                x[j] = v
+            for j, row in order:
+                x[j] = (row[n] - sum(row[n - 1 - m] * x[m] for m in range(j))) % p
+            yield tuple(x)
+
+    maps = iter(maps)
+    for d in maps:
+        at0 = d((0,) * n)
+        at = [d(e) for e in reversed_basis]
+        for k in range(n):
+            eq = [(a[k] - at0[k]) % p for a in at] + [-at0[k] % p]
+            if _insert(eq, rows, pivots, p) is not None and pivots[-1] == n:
+                return  # the equation 0 = 1
+        if len(rows) == n:
+            x = next(points())
+            if not any(v % p for d in maps for v in d(x)):
+                yield x
+            return
+    yield from points()
+
+
+def _unit_mod(tensor, p: int) -> tuple[int, ...] | None:
+    """The unit of a tensor of residues mod p, or None: the solution of
+    u R_{e_b} = u L_{e_b} = e_b as in :func:`find_unit`.  There is at most
+    one, since two differ by a v with v e_b = e_b v = 0 for every b, and
+    then v = v u = 0."""
+    n = len(tensor)
+    maps = [
+        lambda u, b=b, op=op: [c - (k == b) for k, c in enumerate(_combination(u, op, 0))]
+        for b, op in _operators(tensor)
+    ]
+    return next(_solutions(maps, n, p), None)
+
+
 def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
     """Search for an isomorphism between two small prime-field algebras.
     Feasible range: n <= 3, p <= 5.
 
-    The rows of xi are fixed one at a time, each running through F_p^n in
-    lexicographic order.  The equation (e_i xi)(e_j xi) = (e_i e_j) xi is
-    checked as soon as rows i, j and every row k with c_ijk != 0 are fixed,
-    and a failing partial matrix is dropped with all its completions.  So
-    the result is the first matrix of the flat lexicographic scan that
-    passes :func:`verify_isomorphism`, or None.
+    The rows x_0, x_1, ... of xi are fixed one at a time, and the result is
+    the first matrix of the flat lexicographic scan (row 0 slowest, each
+    row in lexicographic order) that passes :func:`verify_isomorphism`, or
+    None.  The equation (e_i xi)(e_j xi) = (e_i e_j) xi of a basis pair is
+    due at row r, the largest of i, j and every k with c_ijk != 0.  Three
+    rules drop candidates, each only ones that break a necessary condition,
+    so no match of the flat scan is lost and its order is kept:
+
+    - for (i, j) != (r, r) the equation is linear in x_r, since the other
+      rows in it are fixed; row r runs, in lexicographic order, through
+      the solutions of these equations mod p only, and the quadratic
+      equation of (r, r) is checked on each;
+    - a row in the span of the earlier ones is skipped, since a singular
+      xi never passes :func:`verify_isomorphism`;
+    - an isomorphism maps the unit u_A to the unit u_B, so with both
+      unital u_A xi = u_B joins the equations of the last row that u_A
+      touches, and with exactly one unital there is no isomorphism.
     """
     if A.field != B.field:
         raise FieldMismatchError("isomorphism search requires one common field")
@@ -500,33 +568,53 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
         )
     ta = _residues(A, p)
     tb = _residues(B, p)
-    # checks[r]: the pairs (i, j) whose last row is r, the largest of i, j
-    # and every k with c_ijk != 0; so c_ijk = 0 past the rows of a partial xi
-    checks = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            checks[max([i, j] + [k for k, c in enumerate(ta[i][j]) if c])].append((i, j))
-    candidates = list(itertools.product(range(p), repeat=n))
+    ua, ub = _unit_mod(ta, p), _unit_mod(tb, p)
+    if (ua is None) != (ub is None):
+        return None
     xi: list[tuple[int, ...]] = []
 
-    def holds(i, j) -> bool:
-        lhs = _contract(tb, xi[i], xi[j], 0)
-        rhs = _combination(ta[i][j], xi, 0)
-        return not any((a - b) % p for a, b in zip(lhs, rhs))
+    # due[r]: the defects due at row r that are affine in the candidate x_r,
+    # the unit's first; square[r]: the defect of (r, r), quadratic in x_r
+    due: list[list] = [[] for _ in range(n)]
+    square = [None] * n
+    if ua is not None:
+        due[max(k for k, c in enumerate(ua) if c)].append(
+            lambda x: [a - b for a, b in zip(_combination(ua, xi + [x], 0), ub)]
+        )
+    for i, j in itertools.product(range(n), repeat=2):
+        r = max([i, j] + [k for k, c in enumerate(ta[i][j]) if c])
+
+        def defect(x, i=i, j=j):
+            rows = xi + [x]
+            return [
+                a - b
+                for a, b in zip(_contract(tb, rows[i], rows[j], 0), _combination(ta[i][j], rows, 0))
+            ]
+
+        if (i, j) == (r, r):
+            square[r] = defect
+        else:
+            due[r].append(defect)
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
 
     def extend() -> Matrix | None:
         r = len(xi)
         if r == n:
-            # verify_isomorphism rejects the singular candidates that get here
             m = Matrix(A.field, xi)
             return m if verify_isomorphism(A, B, m) else None
-        for row in candidates:
+        for row in _solutions(due[r], n, p):
+            if square[r] is not None and any(d % p for d in square[r](row)):
+                continue
+            if _insert(row, echelon, pivots, p) is None:
+                continue  # in the span of the earlier rows
             xi.append(row)
-            if all(holds(*check) for check in checks[r]):
-                found = extend()
-                if found is not None:
-                    return found
+            found = extend()
+            if found is not None:
+                return found
             xi.pop()
+            echelon.pop()
+            pivots.pop()
         return None
 
     return extend()

@@ -119,6 +119,8 @@ def _nil_summary(report) -> tuple[dict, str]:
 
 def _cmd_analyze(args) -> int:
     A = parse_algebra_file(args.file)
+    # first, so that a bad --p exits before the other steps run
+    nil_payload, nil_line = _nil_summary(nil_rank(A, p=args.p))
     commutative = is_commutative(A)
     unit = find_unit(A)
     if not commutative:
@@ -136,7 +138,6 @@ def _cmd_analyze(args) -> int:
     else:
         ideal_note = "none found" if not ideals else f"found {len(ideals)}"
         ideal_list = [[str(e) for e in basis] for basis in ideals]
-    nil_payload, nil_line = _nil_summary(nil_rank(A, p=args.p))
     payload = {
         "file": args.file,
         "field": str(A.field),

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -30,12 +31,14 @@ from isotopelab import (
     nil_set_bruteforce,
     verify_isomorphism,
 )
-from isotopelab.algebras import ENVELOPE_PRIME, _envelope, _operators
+from isotopelab.algebras import ENVELOPE_PRIME, _envelope, _operators, _residues, _unit_mod
+from isotopelab.algfile import parse_algebra_file
 from isotopelab.matrices import random_invertible
 
 QQ = Field.rationals()
 F3 = Field.gf(3)
 F5 = Field.gf(5)
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def coords(el):
@@ -695,7 +698,21 @@ def search_pairs(draw):
     return A, Algebra(field, table)
 
 
+# all eight structure constants nonzero
+DENSE_2 = Algebra(F5, [[[1, 2], [3, 4]], [[2, 3], [4, 1]]])
+# the dual numbers F[t]/(t^2) on the basis (t, 1): the unit is e_1
+DUAL_NUMBERS = Algebra.from_products(F5, 2, {(0, 1): [1, 0], (1, 0): [1, 0], (1, 1): [0, 1]})
+
+
 @given(search_pairs())
+@example((DENSE_2, transported(DENSE_2, Matrix(F5, [[1, 2], [3, 4]]))))
+# e_0 is the unit of the first; the second has no unit, as e_1 e_0 = 0
+@example((
+    Algebra.from_products(F3, 2, {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [0, 1], (1, 1): [0, 1]}),
+    Algebra.from_products(F3, 2, {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, 1]}),
+))
+# a source whose unit, (1, 2), touches both rows
+@example((transported(DUAL_NUMBERS, Matrix(F5, [[1, 1], [2, 0]])), DUAL_NUMBERS))
 def test_isomorphism_search_against_flat_scan(pair):
     # the first matrix of the flat lexicographic scan accepted by
     # verify_isomorphism, or None: the pruned search must return exactly it
@@ -708,6 +725,38 @@ def test_isomorphism_search_against_flat_scan(pair):
             expected = m
             break
     assert isomorphism_search(A, B) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_isomorphism_search_matches_golden(p):
+    # every ordered pair of the 3-dimensional catalog over gf p
+    algs = {k: a for k, a in catalog_algebras(Field.gf(p)).items() if a.n == 3}
+    text = "".join(
+        f"{s} {t} {isomorphism_search(a, b)}\n" for s, a in algs.items() for t, b in algs.items()
+    )
+    assert text.encode() == (DATA / f"iso_search_gf{p}.txt").read_bytes()
+
+
+def test_unit_mod_matches_find_unit():
+    for p in (3, 5, 7):
+        F = Field.gf(p)
+        for A in catalog_algebras(F).values():
+            for B in [A] + [transported(A, random_invertible(F, A.n, seed)) for seed in range(3)]:
+                u = find_unit(B)
+                assert _unit_mod(_residues(B, p), p) == (None if u is None else coords(u))
+
+
+def test_isomorphism_search_dense_source():
+    # a unital standard isotope of C(2,0,0) with 26 nonzero structure
+    # constants: every pair's equation is due at the last row
+    D = parse_algebra_file(DATA / "dense_c2_gf5.alg")
+    J = j2(F5)
+    assert D.field == F5 and len(list(D.nonzero_entries())) >= 25
+    assert find_unit(D) is not None
+    forward, backward = isomorphism_search(D, J), isomorphism_search(J, D)
+    assert (forward is None) == (backward is None)
+    assert forward is None or verify_isomorphism(D, J, forward)
+    assert backward is None or verify_isomorphism(J, D, backward)
 
 
 def test_isomorphism_search_budget():

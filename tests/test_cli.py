@@ -218,6 +218,19 @@ def test_nil_rank_p_must_be_an_odd_prime_on_every_route(capsys, args):
         assert err == "error: Char2FieldError: characteristic 2 is not supported\n"
 
 
+def test_analyze_rejects_a_bad_p_before_the_envelope(capsys, monkeypatch):
+    import isotopelab.cli as cli
+
+    def envelope_dimension(A):
+        raise AssertionError("the envelope ran before --p was checked")
+
+    monkeypatch.setattr(cli, "envelope_dimension", envelope_dimension)
+    code, out, err = run(capsys, "analyze", str(ALGEBRAS / "g3.alg"), "--p", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: DomainError: modulus 4 is not prime\n"
+    assert run(capsys, "nilrank", str(ALGEBRAS / "g3.alg"), "--p", "4")[1:] == (out, err)
+
+
 def test_isotope_writes_file(tmp_path, capsys):
     J = j2(QQ)
     one, x, _ = J.basis()
