@@ -44,7 +44,6 @@ from .errors import (
     ParseError,
     SearchBudgetExceededError,
     SingularMatrixError,
-    SquareRootUnavailableError,
 )
 from .fields import QQ, Field, Scalar
 from .isotopes import (

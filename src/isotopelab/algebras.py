@@ -18,7 +18,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, _combination, _insert, _reduce, _spin, row_rank, solve
+from .matrices import Matrix, _combination, _insert, _raw, _reduce, _spin, row_rank, solve
 
 
 def _contract(table, u, v, zero) -> list:
@@ -306,20 +306,23 @@ def is_jordan(A: Algebra) -> bool:
 ENVELOPE_PRIME = 2**31 - 1
 
 
-def _flatten(m: Matrix) -> list[Scalar]:
-    return [v for row in m.rows for v in row]
-
-
 def _exact_envelope_dimension(A: Algebra) -> int:
-    # the closure of _residue_envelope_dimension on Scalars and Matrix products
+    """The envelope dimension, exactly: the residue closure below over gf p,
+    and over QQ the same closure on Matrix products made integral."""
+    p = A.field.p
+    if p is not None:
+        return _residue_envelope_dimension(_residues(A, p), p)
     n = A.n
     gens = [Matrix(A.field, g) for _, g in _operators(A.table)]
 
+    def integral(m: Matrix) -> list[int]:
+        return _raw(A.field, [v for row in m.rows for v in row])[0]
+
     def images(v):
         m = Matrix(A.field, [v[i * n:(i + 1) * n] for i in range(n)])
-        return (_flatten(m * g) for g in gens)
+        return (integral(m * g) for g in gens)
 
-    return len(_spin([_flatten(g) for g in gens], images, n * n)[0])
+    return len(_spin([integral(g) for g in gens], images, n * n)[0])
 
 
 def _residues(A: Algebra, p: int) -> list[list[list[int]]] | None:
@@ -354,13 +357,11 @@ def _residue_envelope_dimension(tensor, p: int) -> int:
 def _envelope(A: Algebra) -> tuple[int, int | None]:
     """The envelope dimension, and the prime it was decided modulo when
     that is a shortcut for a rational algebra (else None)."""
-    p = A.field.p
-    if p is not None:
-        return _residue_envelope_dimension(_residues(A, p), p), None
-    full = A.n * A.n
-    tensor = _residues(A, ENVELOPE_PRIME)
-    if tensor is not None and _residue_envelope_dimension(tensor, ENVELOPE_PRIME) == full:
-        return full, ENVELOPE_PRIME
+    if A.field.p is None:
+        full = A.n * A.n
+        tensor = _residues(A, ENVELOPE_PRIME)
+        if tensor is not None and _residue_envelope_dimension(tensor, ENVELOPE_PRIME) == full:
+            return full, ENVELOPE_PRIME
     return _exact_envelope_dimension(A), None
 
 
@@ -434,7 +435,7 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
                 # rows have pivot 1, so the products need no reduction mod p
                 # until the membership test
                 if all(
-                    not any(v % p for v in _reduce(_combination(w, op, 0), basis, pivots))
+                    not any(v % p for v in _reduce(_combination(w, op, 0), basis, pivots)[0])
                     for w in basis
                     for op in operators
                 ):

@@ -45,10 +45,6 @@ class NilRank3Error(DomainError):
     """The algebra has nil-rank 3, outside the scope of the rank-2 pipeline."""
 
 
-class SquareRootUnavailableError(DomainError):
-    """No exact square root exists in the ground field."""
-
-
 class ParseError(AlgebraError):
     """Malformed algebra or matrix file."""
 

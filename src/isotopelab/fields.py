@@ -9,16 +9,10 @@ denominator), prime-field elements as residues in ``[0, p)``.  Characteristic
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    Char2FieldError,
-    DomainError,
-    FieldMismatchError,
-    SquareRootUnavailableError,
-)
+from .errors import Char2FieldError, DomainError, FieldMismatchError
 
 
 def _is_prime(n: int) -> bool:
@@ -98,44 +92,6 @@ class Field:
             raise DomainError("cannot enumerate the rationals")
         for r in range(self.p):
             yield Scalar(self, r)
-
-    def is_square(self, value) -> bool:
-        """Exact squareness test (Euler's criterion over F_p)."""
-        s = self.scalar(value)
-        if self.p is None:
-            f = s.value
-            if f < 0:
-                return False
-            return (
-                math.isqrt(f.numerator) ** 2 == f.numerator
-                and math.isqrt(f.denominator) ** 2 == f.denominator
-            )
-        if s.value == 0:
-            return True
-        return pow(s.value, (self.p - 1) // 2, self.p) == 1
-
-    def sqrt(self, value) -> "Scalar":
-        """An exact square root, or SquareRootUnavailableError if none exists.
-
-        Over F_p the root is found by residue scan, feasible for p <= 10^7.
-        """
-        s = self.scalar(value)
-        if self.p is None:
-            f = s.value
-            if f >= 0:
-                rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-                if rn * rn == f.numerator and rd * rd == f.denominator:
-                    return Scalar(self, Fraction(rn, rd))
-            raise SquareRootUnavailableError(f"{f} is not a square in the rationals")
-        if self.p > 10_000_000:
-            raise SquareRootUnavailableError(f"root scan infeasible for p = {self.p}")
-        if s.value == 0:
-            return self.zero
-        if self.is_square(s):
-            for r in range(1, self.p // 2 + 1):
-                if r * r % self.p == s.value:
-                    return Scalar(self, r)
-        raise SquareRootUnavailableError(f"{s.value} is not a square mod {self.p}")
 
     def __str__(self) -> str:
         return "rational" if self.p is None else f"gf {self.p}"

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -83,17 +85,21 @@ class Matrix:
         return Matrix(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def det(self) -> Scalar:
-        # each insert subtracts multiples of earlier rows, so det is the
-        # product of the pivot values, signed by the parity of the pivot order
+        # each row, scaled to raw values, loses only multiples of earlier
+        # rows, so det is the product of the exact remainders' pivot values
+        # over the row scales, signed by the parity of the pivot order
+        field = self.field
         rows, pivots = [], []
-        acc = self.field.one
+        num, den = 1, 1
         for row in self.rows:
-            pval = _insert(list(row), rows, pivots)
+            vec, scale = _raw(field, row)
+            pval = _insert(vec, rows, pivots, field.p)
             if pval is None:
-                return self.field.zero
-            acc = acc * pval
+                return field.zero
+            num *= pval
+            den *= scale
         inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-        return -acc if inversions % 2 else acc
+        return field.scalar(Fraction(-num if inversions % 2 else num, den))
 
     def is_invertible(self) -> bool:
         return bool(self.det())
@@ -131,9 +137,6 @@ class Matrix:
 
 def rref(field: Field, rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    rows = list(rows)
-    if not rows:
-        return [], []
     tracker = SpanTracker(field)
     for row in rows:
         tracker.add(row)
@@ -173,9 +176,8 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
     if not rows:
         raise DomainError("empty system")
     width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DimensionMismatchError("ragged system")
-    # [A | b] is inconsistent exactly when a pivot lands in the b column
+    # [A | b] is inconsistent exactly when a pivot lands in the b column;
+    # the tracker rejects a ragged system
     tracker = SpanTracker(field)
     for row, b in zip(rows, rhs):
         tracker.add(row + [b])
@@ -211,32 +213,59 @@ def _combination(coeffs, rows, zero) -> list:
     return out
 
 
-def _reduce(vec: list, rows: list[list], pivots: list[int], p: int | None = None) -> list:
-    """Subtract from ``vec`` its components along the semi-echelon ``rows``
-    (row r is 1 at ``pivots[r]`` and 0 at every earlier pivot).  Works on
-    Scalars, and on raw ints; given p, reduces mod p at every step."""
+def _raw(field: Field, vec) -> tuple[list[int], int]:
+    """``vec`` as raw values and the factor it was scaled by: residues mod p
+    and 1, or over QQ the integers d vec and d, the lcm of the denominators."""
+    vals = [field.scalar(v).value for v in vec]
+    if field.p is not None:
+        return vals, 1
+    d = lcm(*[v.denominator for v in vals])
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
+def _reduce(vec: list, rows: list[list], pivots: list[int], p: int | None = None):
+    """Eliminate from ``vec`` its components along the semi-echelon ``rows``
+    (row r is nonzero at ``pivots[r]`` and 0 at every earlier pivot).
+    Returns the remainder, s vec minus a combination of the rows, and s.
+    Given p, the values are residues, every row is 1 at its pivot and s = 1.
+    Otherwise they are integers and each step is fraction-free: with
+    f = vec[pivot] and d = row[pivot] divided by their gcd, vec becomes
+    d vec - f row, the same line over QQ, and s is the product of the d."""
+    scale = 1
     for row, piv in zip(rows, pivots):
         f = vec[piv]
         if f:
-            if p is None:
+            if p is not None:
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
+            elif row[piv] == 1:
                 vec = [a - f * b for a, b in zip(vec, row)]
             else:
-                vec = [(a - f * b) % p for a, b in zip(vec, row)]
-    return vec
+                g = gcd(row[piv], f)
+                d, f = row[piv] // g, f // g
+                scale *= d
+                vec = [d * a - f * b for a, b in zip(vec, row)]
+    return vec, scale
 
 
 def _insert(vec: list, rows: list[list], pivots: list[int], p: int | None = None):
-    """Insert ``vec`` (Scalars, or residues mod p in 0..p-1) into the
-    semi-echelon basis ``rows``: reduce it, divide it by its first nonzero
-    entry and append it.  Returns that pivot value, or None if ``vec`` was
-    already in the span.  Earlier rows are never touched."""
-    vec = _reduce(vec, rows, pivots, p)
+    """Insert ``vec`` (residues mod p in 0..p-1, or integers) into the
+    semi-echelon basis ``rows``: reduce it and append it divided by its
+    first nonzero entry mod p, else by its content, so that integer rows
+    stay primitive.  Returns the pivot value of the exact remainder (over QQ
+    the integer pivot over the scale of :func:`_reduce`), or None if ``vec``
+    was already in the span.  Earlier rows are never touched."""
+    vec, scale = _reduce(vec, rows, pivots, p)
     piv = next((i for i, v in enumerate(vec) if v), None)
     if piv is None:
         return None
     pval = vec[piv]
-    inv = 1 / pval if p is None else pow(pval, -1, p)
-    rows.append([v * inv for v in vec] if p is None else [v * inv % p for v in vec])
+    if p is None:
+        g = gcd(*vec)
+        rows.append([v // g for v in vec])
+        pval = Fraction(pval, scale)
+    else:
+        inv = pow(pval, -1, p)
+        rows.append([v * inv % p for v in vec])
     pivots.append(piv)
     return pval
 
@@ -247,8 +276,9 @@ def _spin(seeds, images, full: int, p: int | None = None) -> tuple[list[list], l
     vector under a fixed set of linear maps.  Each new basis row is spun
     once, which is enough by linearity; it is zero at every earlier pivot,
     so sparser than the image it came from.  Stops once the span has
-    dimension ``full``.  Works on Scalars, and on residues mod p in 0..p-1,
-    which ``images`` must yield reduced."""
+    dimension ``full``.  Works on the raw values of :func:`_insert`:
+    residues mod p in 0..p-1, which ``images`` must yield reduced, or
+    (p None) integer vectors, spun as primitive rows."""
     rows: list[list] = []
     pivots: list[int] = []
     work = [v for v in seeds if _insert(v, rows, pivots, p) is not None]
@@ -265,33 +295,47 @@ class SpanTracker:
     """Incremental row space over a field: a semi-echelon basis in insertion
     order, built by :func:`_insert`, the package's one elimination step.
 
+    Each vector enters once as raw values (:func:`_raw`), and a vector
+    whose length differs from the first one's is a DimensionMismatchError.
     ``rref``, ``solve`` and ``Matrix.inverse`` read the reduced echelon form
     off one back-substitution pass; it depends only on the span.
     """
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows: list[list[Scalar]] = []
+        self.width: int | None = None
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
+    def _checked(self, vec) -> list[int]:
+        raw = _raw(self.field, vec)[0]
+        if self.width is None:
+            self.width = len(raw)
+        if len(raw) != self.width:
+            raise DimensionMismatchError(f"length {len(raw)} in a span of width {self.width}")
+        return raw
+
     def contains(self, vec) -> bool:
-        vec = [self.field.scalar(v) for v in vec]
-        return not any(_reduce(vec, self.rows, self.pivots))
+        return not any(_reduce(self._checked(vec), self.rows, self.pivots, self.field.p)[0])
 
     def add(self, vec) -> bool:
         """Insert ``vec``; True if it enlarged the span."""
-        return _insert([self.field.scalar(v) for v in vec], self.rows, self.pivots) is not None
+        return _insert(self._checked(vec), self.rows, self.pivots, self.field.p) is not None
 
     def _reduced(self) -> tuple[list[list[Scalar]], list[int]]:
-        """Reduced echelon form (rows, ascending pivots) by back-substitution:
-        each row, last first, is reduced against the already reduced later ones."""
-        rows: list[list[Scalar]] = []
+        """Reduced echelon form (rows, ascending pivots) by back-substitution
+        in raw values: each row, last first, is inserted into the already
+        reduced later ones.  Each row is then made monic once, in Scalars."""
+        field = self.field
+        rows: list[list[int]] = []
         pivots: list[int] = []
-        for row, piv in zip(reversed(self.rows), reversed(self.pivots)):
-            rows.append(_reduce(row, rows, pivots))
-            pivots.append(piv)
-        order = sorted(range(len(pivots)), key=pivots.__getitem__)
-        return [rows[i] for i in order], [pivots[i] for i in order]
+        for row in reversed(self.rows):
+            _insert(row, rows, pivots, field.p)
+        monic = []
+        for i in sorted(range(len(pivots)), key=pivots.__getitem__):
+            inv = field.scalar(rows[i][pivots[i]]).inverse().value
+            monic.append([field.scalar(v * inv) for v in rows[i]])
+        return monic, sorted(pivots)
 
     @property
     def dim(self) -> int:

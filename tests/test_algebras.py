@@ -428,16 +428,38 @@ def test_jordan_invariant_under_verified_isomorphism():
 # ---------------------------------------------------------------------------
 
 
+def elimination_rank(field, rows):
+    """Rank of a list of Scalar rows by Gauss-Jordan elimination written
+    out here on Fractions, or on residues mod p, so that the oracle below
+    shares no code with the package's elimination core."""
+    p = field.p
+    rows = [[s.value for s in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = 1 / top[c] if p is None else pow(top[c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+                if p is not None:
+                    rows[i] = [a % p for a in rows[i]]
+        rank += 1
+    return rank
+
+
 def envelope_dim_oracle(A):
     """Round-based closure: keep a maximal independent set of operator
     words, extend it by whole rounds of pairwise products, recompute the
     rank from scratch each time."""
-    from isotopelab import rref
-
     flat = lambda m: [v for row in m.rows for v in row]
 
     def rank_of(mats):
-        return len(rref(A.field, [flat(m) for m in mats])[0])
+        return elimination_rank(A.field, [flat(m) for m in mats])
 
     gens = []
     for b in A.basis():

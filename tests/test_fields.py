@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isotopelab import Char2FieldError, DomainError, Field, SquareRootUnavailableError
+from isotopelab import Char2FieldError, DomainError, Field
 
 rationals = Field.rationals()
 f5 = Field.gf(5)
@@ -122,29 +122,6 @@ def test_scalar_int_convenience():
     assert 1 - 2 * g == (1 - 4) % 5
     r = rationals.scalar(Fraction(1, 6))
     assert 1 - 2 * r == Fraction(2, 3)
-
-
-@pytest.mark.parametrize("p", [5, 7])
-def test_sqrt_matches_euler_criterion(p):
-    field = Field.gf(p)
-    for a in range(1, p):
-        s = field.scalar(a)
-        euler = pow(a, (p - 1) // 2, p) == 1
-        assert field.is_square(s) is euler
-        if euler:
-            root = field.sqrt(s)
-            assert root * root == s
-        else:
-            with pytest.raises(SquareRootUnavailableError):
-                field.sqrt(s)
-
-
-def test_sqrt_rational():
-    assert rationals.sqrt(Fraction(9, 4)).value == Fraction(3, 2)
-    assert rationals.sqrt(4).value == 2
-    for bad in (Fraction(2), Fraction(-4), Fraction(9, 5)):
-        with pytest.raises(SquareRootUnavailableError):
-            rationals.sqrt(bad)
 
 
 def test_serialization_forms():

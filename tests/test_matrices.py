@@ -1,11 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from isotopelab import (
+    DimensionMismatchError,
     Field,
     Matrix,
     SingularMatrixError,
@@ -151,9 +153,24 @@ def test_field_mismatch_rejected():
         Matrix(rationals, [[1]]) * Matrix(f5, [[1]])
 
 
-def test_dimension_mismatch_rejected():
-    from isotopelab import DimensionMismatchError
+@pytest.mark.parametrize("field", [rationals, f5])
+def test_span_tracker_fixes_its_width(field):
+    # a vector of another length used to be cut to the shorter one: span{e1,
+    # e2} in 3-space "contained" (1, 1) and took (0, 0, 0, 1) as a new row
+    tracker = SpanTracker(field)
+    tracker.add([1, 0, 0])
+    tracker.add([0, 1, 0])
+    with pytest.raises(DimensionMismatchError):
+        tracker.contains([1, 1])
+    with pytest.raises(DimensionMismatchError):
+        tracker.add([0, 0, 0, 1])
+    assert tracker.dim == 2
+    assert tracker.contains([1, 1, 0]) and not tracker.contains([0, 0, 1])
+    with pytest.raises(DimensionMismatchError):
+        solve(field, [[1, 0], [1]], [0, 0])
 
+
+def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         Matrix(rationals, [[1]]) * Matrix(rationals, [[1, 0], [0, 1]])
 
@@ -197,6 +214,28 @@ def square_systems(draw):
     return field, Matrix(field, rows), [field.scalar(v) for v in x0], rhs, Matrix(field, other)
 
 
+def exact(field, values):
+    """Whether every value is a Fraction over QQ: a stray int division gives
+    a float, which compares equal to a Fraction such as 1/2 and would slip
+    through the equalities below."""
+    return field.p is not None or all(type(v.value) is Fraction for v in values)
+
+
+def qq_system(rows):
+    n = len(rows)
+    other = Matrix(rationals, [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+    x0 = [rationals.scalar(Fraction(i + 1, 3)) for i in range(n)]
+    return rationals, Matrix(rationals, rows), x0, [Fraction(1, 5)] * n, other
+
+
+# integer pivots other than +-1 after scaling by coprime denominators, so
+# that the row scales of the fraction-free elimination enter det and inverse
+@example(qq_system([[Fraction(1, 2), Fraction(1, 3), 2], [Fraction(2, 5), 3, Fraction(1, 7)],
+                    [5, Fraction(3, 4), 6]]))
+@example(qq_system([[Fraction(2, 3), Fraction(4, 5)], [Fraction(7, 2), Fraction(9, 11)]]))
+@example(qq_system([[Fraction(2, 3), Fraction(4, 5), 1], [Fraction(1, 3), Fraction(2, 5), 3],
+                    [3, 6, Fraction(5, 7)]]))
+@example(qq_system([[Fraction(2, 3), Fraction(4, 5)], [Fraction(1, 3), Fraction(2, 5)]]))
 @given(square_systems())
 def test_elimination_against_independent_oracles(system):
     field, m, x0, rhs, other = system
@@ -206,10 +245,13 @@ def test_elimination_against_independent_oracles(system):
     assert (m * other).rows == tuple(tuple(dot(field, row, col) for col in cols) for row in m.rows)
     assert m.apply(x0) == tuple(dot(field, x0, col) for col in zip(*m.rows))
     det = m.det()
+    assert exact(field, [det])
     assert det == leibniz_det(field, m.rows)
     assert (m.rank() == n) == bool(det)
     if det:
-        assert m * m.inverse() == Matrix.identity(field, n)
+        inv = m.inverse()
+        assert exact(field, [v for row in inv.rows for v in row])
+        assert m * inv == Matrix.identity(field, n)
     else:
         with pytest.raises(SingularMatrixError):
             m.inverse()
@@ -220,6 +262,7 @@ def test_elimination_against_independent_oracles(system):
         if sol is None:
             assert not det
             continue
+        assert exact(field, sol.point) and all(exact(field, k) for k in sol.kernel)
         assert [dot(field, row, sol.point) for row in m.rows] == [field.scalar(v) for v in b]
         assert len(sol.kernel) == n - m.rank()
         for k in sol.kernel:
@@ -227,17 +270,19 @@ def test_elimination_against_independent_oracles(system):
             assert all(not dot(field, row, k) for row in m.rows)
     # the reduced form depends only on the span, not on the insertion order
     # that shaped the semi-echelon basis it is read from
-    assert rref(field, m.rows) == rref(field, list(reversed(m.rows)))
+    reduced = rref(field, m.rows)
+    assert all(exact(field, row) for row in reduced[0])
+    assert reduced == rref(field, list(reversed(m.rows)))
     if field.p is not None:
-        # the insert on raw residues accepts the same rows as the Scalar one
-        # and keeps the same basis
+        # the tracker converts each row to residues once and then keeps the
+        # basis that inserts on raw residues build
         p = field.p
         tracker = SpanTracker(field)
         rows, pivots = [], []
         for row in m.rows:
             raw = [v.value for v in row]
             assert (_insert(raw, rows, pivots, p) is not None) == tracker.add(row)
-        assert rows == [[v.value for v in r] for r in tracker.rows]
+        assert rows == tracker.rows
         assert pivots == tracker.pivots
 
 
@@ -274,9 +319,15 @@ def test_spin_matches_word_closure(case):
         words += layer
         layer = [times(v, op) for v in layer for op in ops]
     if p is None:
+        # the core spins integer vectors: each vector times the lcm of its
+        # denominators spans the same line
+        def integral(v):
+            den = math.lcm(*(Fraction(x).denominator for x in v))
+            return [int(x * den) for x in v]
+
         rows, pivots = _spin(
-            [[field.scalar(x) for x in v] for v in seeds],
-            lambda v: ([field.scalar(x) for x in times(v, op)] for op in ops),
+            [integral(v) for v in seeds],
+            lambda v: (integral(times(v, op)) for op in ops),
             d,
         )
     else:
@@ -289,6 +340,10 @@ def test_spin_matches_word_closure(case):
         )
     for r, (row, piv) in enumerate(zip(rows, pivots)):
         assert next(k for k, x in enumerate(row) if x) == piv
-        assert row[piv] == 1
         assert all(row[q] == 0 for q in pivots[:r])
+        if p is None:
+            # primitive integer rows
+            assert all(type(x) is int for x in row) and math.gcd(*row) == 1
+        else:
+            assert row[piv] == 1
     assert rref(field, rows) == rref(field, words)
