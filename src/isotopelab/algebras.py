@@ -117,17 +117,6 @@ class Algebra:
                 names[perm[i]] = self.names[i]
         return Algebra(self.field, table, names=names)
 
-    def reduce_mod(self, p: int) -> "Algebra":
-        """Reduction of a rational algebra mod an odd prime p (denominators
-        must be invertible mod p)."""
-        if not self.field.is_rational:
-            raise DomainError("reduce_mod applies to rational algebras only")
-        gf = Field.gf(p)
-        table = [
-            [[gf.scalar(c.value) for c in cell] for cell in row] for row in self.table
-        ]
-        return Algebra(gf, table, names=self.names)
-
     def nonzero_entries(self):
         """Yield ``(i, j, k, scalar)`` for every nonzero tensor entry (0-based)."""
         for i in range(self.n):
@@ -464,7 +453,7 @@ def _preserves_products(A: Algebra, B: Algebra, phi: Matrix, psi: Matrix, xi: Ma
     if phi.field != A.field or phi.n != A.n:
         return False
     return all(
-        B.mul_coords(phi.row(i), psi.row(j)) == xi.apply(A.table[i][j])
+        B.mul_coords(phi.rows[i], psi.rows[j]) == xi.apply(A.table[i][j])
         for i in range(A.n)
         for j in range(A.n)
     )

@@ -53,10 +53,6 @@ class Field:
     def is_rational(self) -> bool:
         return self.p is None
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
     def scalar(self, value) -> "Scalar":
         """Coerce ``value`` (Scalar, int, Fraction, or string like ``-3/2``) into this field."""
         if isinstance(value, Scalar):
@@ -85,13 +81,6 @@ class Field:
     @property
     def one(self) -> "Scalar":
         return Scalar(self, 1 if self.p is not None else Fraction(1))
-
-    def elements(self):
-        """All field elements, residue order.  Finite fields only."""
-        if self.p is None:
-            raise DomainError("cannot enumerate the rationals")
-        for r in range(self.p):
-            yield Scalar(self, r)
 
     def __str__(self) -> str:
         return "rational" if self.p is None else f"gf {self.p}"

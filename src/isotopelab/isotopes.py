@@ -84,7 +84,7 @@ def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
     if not f.is_invertible() or not g.is_invertible():
         raise SingularMatrixError("isotope operators must be invertible")
     table = [
-        [A.mul_coords(f.row(i), g.row(j)) for j in range(A.n)] for i in range(A.n)
+        [A.mul_coords(f.rows[i], g.rows[j]) for j in range(A.n)] for i in range(A.n)
     ]
     return Algebra(A.field, table, names=A.names)
 

@@ -53,9 +53,6 @@ class Matrix:
         n = len(vals)
         return cls(field, [[vals[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.rows[i]
-
     def _check_compatible(self, other: "Matrix"):
         if self.field != other.field:
             raise FieldMismatchError("matrices over different fields")
@@ -68,10 +65,6 @@ class Matrix:
         self._check_compatible(other)
         zero = self.field.zero
         return Matrix(self.field, [_combination(row, other.rows, zero) for row in self.rows])
-
-    def scale(self, value) -> "Matrix":
-        s = self.field.scalar(value)
-        return Matrix(self.field, [[s * v for v in row] for row in self.rows])
 
     def apply(self, coords) -> tuple[Scalar, ...]:
         """Row vector times matrix: image of ``coords`` under this operator."""
@@ -158,10 +151,6 @@ class SolveResult:
 
     point: tuple[Scalar, ...]
     kernel: tuple[tuple[Scalar, ...], ...]
-
-    @property
-    def is_unique(self) -> bool:
-        return not self.kernel
 
 
 def solve(field: Field, rows, rhs) -> SolveResult | None:

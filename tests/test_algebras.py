@@ -153,8 +153,8 @@ def test_noncommutative_products_against_triple_sum(case):
     rv = A.element(v).right_mult_matrix()
     lv = A.element(v).left_mult_matrix()
     for i, e in enumerate(units):
-        assert [s.value for s in rv.row(i)] == _values(field, _triple_sum(c, e, v))
-        assert [s.value for s in lv.row(i)] == _values(field, _triple_sum(c, v, e))
+        assert [s.value for s in rv.rows[i]] == _values(field, _triple_sum(c, e, v))
+        assert [s.value for s in lv.rows[i]] == _values(field, _triple_sum(c, v, e))
     if field.p:
         p = field.p
         expected = [
@@ -348,7 +348,7 @@ def transported(A, S):
     inv = S.inverse()
     rows = range(A.n)
     return Algebra(
-        A.field, [[inv.apply(A.mul_coords(S.row(i), S.row(j))) for j in rows] for i in rows]
+        A.field, [[inv.apply(A.mul_coords(S.rows[i], S.rows[j])) for j in rows] for i in rows]
     )
 
 
@@ -714,7 +714,7 @@ def search_pairs(draw):
     assume(P.is_invertible())
     Pi = P.inverse()
     table = [
-        [list(P.apply(A.mul_coords(Pi.row(i), Pi.row(j)))) for j in range(2)]
+        [list(P.apply(A.mul_coords(Pi.rows[i], Pi.rows[j]))) for j in range(2)]
         for i in range(2)
     ]
     return A, Algebra(field, table)
@@ -757,6 +757,24 @@ def test_isomorphism_search_matches_golden(p):
         f"{s} {t} {isomorphism_search(a, b)}\n" for s, a in algs.items() for t, b in algs.items()
     )
     assert text.encode() == (DATA / f"iso_search_gf{p}.txt").read_bytes()
+
+
+def test_ideal_search_matches_golden():
+    # the catalog with n <= 4 and every C(0, b, g) over gf 3, 5 and 7, then
+    # the zero algebra and one with a nonzero square, each listed by its ideals
+    def show(p, label, A):
+        return f"{p} {label} {[[str(e) for e in basis] for basis in ideal_search_exhaustive(A)]}\n"
+
+    parts = []
+    for p in (3, 5, 7):
+        F = Field.gf(p)
+        parts += [show(p, label, A) for label, A in catalog_algebras(F).items() if A.n <= 4]
+        parts += [show(p, f"C(0,{b},{g})", c_family(F, 0, b, g))
+                  for b in range(p) for g in range(p)]
+    parts.append(show(5, "zero3", Algebra.from_products(F5, 3, {})))
+    e1e1_e1e2 = Algebra.from_products(F3, 3, {(0, 0): [1, 0, 0], (0, 1): [0, 0, 1]})
+    parts.append(show(3, "e1e1=e1,e1e2=e3", e1e1_e1e2))
+    assert "".join(parts).encode() == (DATA / "ideal_search_gf.txt").read_bytes()
 
 
 def test_unit_mod_matches_find_unit():

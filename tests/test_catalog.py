@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from isotopelab import (
@@ -189,3 +191,13 @@ def test_canonicalize_full_f5_consistency():
                 res = canonicalize_C(F5.scalar(a), F5.scalar(b), F5.scalar(g))
                 assert res.verdict, (a, b, g)
                 assert res.params[0] == F5.scalar(b * g) / F5.scalar(a)
+
+
+def test_shipped_files_match_the_catalog(run_script, tmp_path):
+    # scripts/write_catalog_files.py writes algebras/ anew, byte for byte
+    proc = run_script("write_catalog_files.py", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    shipped = pathlib.Path(__file__).resolve().parent.parent / "algebras"
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f.name for f in shipped.iterdir())
+    for f in shipped.iterdir():
+        assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name

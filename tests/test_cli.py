@@ -12,7 +12,9 @@ from isotopelab.algfile import (
 from isotopelab.cli import main
 
 QQ = Field.rationals()
-ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "algebras"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ALGEBRAS = ROOT / "algebras"
+DATA = ROOT / "tests" / "data"
 
 
 def run(capsys, *argv):
@@ -27,6 +29,38 @@ def test_analyze_c2(capsys):
     assert "unit: none" in out
     assert "nil-rank: 2" in out
     assert "commutative: yes" in out
+
+
+def _transcript(capsys, runs):
+    """Each (header, argv) run as "# <header>" and its standard output;
+    every run must exit 0."""
+    parts = []
+    for header, argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (header, err)
+        parts.append(f"# {header}\n{out}")
+    return "".join(parts)
+
+
+def test_analyze_output_matches_golden(capsys, monkeypatch):
+    # every shipped and test .alg file, as text and as JSON; a report names
+    # its file by the path given, so the paths are relative to the root
+    monkeypatch.chdir(ROOT)
+    files = [str(f) for d in ("algebras", "tests/data")
+             for f in sorted(pathlib.Path(d).glob("*.alg"))]
+    runs = [(" ".join(argv), argv)
+            for f in files for argv in (["analyze", f], ["analyze", f, "--json"])]
+    assert _transcript(capsys, runs).encode() == (DATA / "analyze_cli.txt").read_bytes()
+
+
+def test_nilrank_json_matches_golden(capsys, monkeypatch):
+    # the reduction prime chosen and given, and two prime-field files
+    monkeypatch.chdir(ROOT)
+    argvs = [["nilrank", f"algebras/{f}.alg", *p]
+             for f in ("c2", "c3", "g2") for p in ([], ["--p", "5"], ["--p", "7"])]
+    argvs += [["nilrank", f"tests/data/{f}.alg"] for f in ("g4_gf5", "g4_gf5_isotope")]
+    runs = [(" ".join(argv), argv + ["--json"]) for argv in argvs]
+    assert _transcript(capsys, runs).encode() == (DATA / "nilrank_cli.txt").read_bytes()
 
 
 def test_analyze_json(capsys):
@@ -148,10 +182,12 @@ def test_witness_exit_codes_match_verdicts(capsys):
     for name, extra in [
         ("lemma6", []),
         ("lemma10", []),
+        ("lemma10", ["--gf", "3"]),
         ("lemma11", ["--rho", "1/2"]),
         ("theorem1", ["--abg", "2,1,4"]),
         # alpha = 2 is no square in QQ; the C(1,0,0) normal form needs none
         ("theorem1", ["--abg", "2,0,0"]),
+        ("theorem1", ["--abg", "1,1,0", "--gf", "3"]),
         ("theorem2", []),
         ("prop1", ["--n", "2"]),
         ("prop2", ["--n", "2"]),

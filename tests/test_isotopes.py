@@ -208,7 +208,7 @@ def test_express_recovers_unique_solution_on_catalog():
         el = A.element([rng.randint(-3, 3) for _ in range(A.n)])
         fib = right_mult_fibre(A, el.right_mult_matrix())
         assert fib is not None
-        assert fib.is_unique, label
+        assert not fib.kernel, label
         assert A.element(fib.point) == el
 
 
@@ -244,7 +244,9 @@ def test_commutativity_preserved_by_proportional_isotopes():
         if not is_commutative(A):
             continue
         f = random_invertible(QQ, A.n, seed=500 + A.n)
-        iso = principal_isotope(A, f.scale(2), f.scale(-3))
+        iso = principal_isotope(
+            A, Matrix.scalar_matrix(QQ, A.n, 2) * f, Matrix.scalar_matrix(QQ, A.n, -3) * f
+        )
         assert is_commutative(iso), label
 
 

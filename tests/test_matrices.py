@@ -96,7 +96,7 @@ def test_apply_row_convention():
 
 def test_solve_unique():
     sol = solve(rationals, [[2, 0], [0, 4]], [6, 8])
-    assert sol is not None and sol.is_unique
+    assert sol is not None and not sol.kernel
     assert [s.value for s in sol.point] == [3, 2]
 
 
@@ -107,7 +107,7 @@ def test_solve_inconsistent():
 def test_solve_affine_canonical_point():
     # x + y = 1: canonical representative sets the free coordinate to zero
     sol = solve(rationals, [[1, 1]], [1])
-    assert sol is not None and not sol.is_unique
+    assert sol is not None and sol.kernel
     assert [s.value for s in sol.point] == [1, 0]
     assert len(sol.kernel) == 1
     kx, ky = sol.kernel[0]

@@ -10,6 +10,7 @@ from isotopelab import (
     Char2FieldError,
     DomainError,
     Field,
+    Matrix,
     Scalar,
     SearchBudgetExceededError,
     c2,
@@ -205,6 +206,37 @@ def test_nil_rank_names_the_reduction_prime():
     assert all(w.algebra.field.p == 3 for w in report.witnesses)
     assert nil_rank(c_rho(QQ, -2)).reduced_mod is None
     assert nil_rank(j2(F5)).reduced_mod is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_nilrank_sweep_script_finds_no_mismatch(run_script, p):
+    # the closed form against the brute force on every C(alpha, beta, gamma)
+    # with alpha != 0 over gf p; the script exits 1 on a mismatch
+    proc = run_script("nilrank_sweep.py", "--p", p)
+    assert proc.returncode == 0, proc.stdout.decode()
+    assert proc.stdout.decode().endswith("mismatches: 0\n")
+
+
+def test_nil_rank_reduces_a_rational_algebra_with_denominators():
+    # G_2 in the basis (3 x1, x2, e): x2 e = x2 + (3 x1) / 3, so 3 divides
+    # a denominator and the smallest feasible prime is 5
+    G = g_n(QQ, 2)
+    S = Matrix.diagonal(QQ, [3, 1, 1])
+    inv = S.inverse()
+    table = [[inv.apply(G.mul_coords(S.rows[i], S.rows[j])) for j in range(3)] for i in range(3)]
+    A = Algebra(QQ, table, names=G.names)
+    assert any(c.value.denominator == 3 for row in A.table for cell in row for c in cell)
+    report = nil_rank(A)
+    assert report.reduced_mod == 5
+    assert report.rank == 2
+    residues = [[[F5.scalar(c.value) for c in cell] for cell in row] for row in A.table]
+    reduced = Algebra(F5, residues, names=("x1", "x2", "e"))
+    for w in report.witnesses:
+        assert w.algebra == reduced and w.algebra.names == ("x1", "x2", "e")
+        assert is_nil_index2(w)
+    with pytest.raises(DomainError, match="not reducible mod 3"):
+        nil_rank(A, p=3)
+    assert nil_rank(A, p=7).reduced_mod == 7
 
 
 def _rank_mod_p(rows, p):

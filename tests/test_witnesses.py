@@ -1,7 +1,4 @@
-import os
 import pathlib
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -297,16 +294,11 @@ def test_run_witness_messages_word_for_word():
     )
 
 
-def test_run_witnesses_script_matches_golden():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_witnesses.py")],
-        cwd=root, env=env, capture_output=True, timeout=300,
-    )
+def test_run_witnesses_script_matches_golden(run_script):
+    proc = run_script("run_witnesses.py")
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (root / "tests" / "data" / "run_witnesses.txt").read_bytes()
+    golden = pathlib.Path(__file__).resolve().parent / "data" / "run_witnesses.txt"
+    assert proc.stdout == golden.read_bytes()
 
 
 def test_witness_json_shape():
