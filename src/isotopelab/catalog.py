@@ -17,8 +17,6 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import Algebra, Element, find_unit, is_commutative, span_rank, verify_isomorphism
 from .certificates import Certificate
 from .errors import (
@@ -30,6 +28,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .matrices import Matrix, solve
+from .records import FrozenRecord
 
 
 def jordan_bilinear(field: Field, gram) -> Algebra:
@@ -186,17 +185,22 @@ def to_canonical_C(A: Algebra, x: Element, y: Element):
     return alpha, beta, gamma, S
 
 
-@dataclass(frozen=True)
-class CanonicalizationResult:
+class CanonicalizationResult(FrozenRecord):
     """Outcome of :func:`canonicalize_C`: the target normal form, its
     parameters, the verified base change, and the certificate."""
 
-    certificate: Certificate
-    source: Algebra
-    target: Algebra
-    kind: str
-    params: tuple
-    change: Matrix
+    __slots__ = ("certificate", "source", "target", "kind", "params", "change")
+
+    def __init__(
+        self,
+        certificate: Certificate,
+        source: Algebra,
+        target: Algebra,
+        kind: str,
+        params: tuple,
+        change: Matrix,
+    ):
+        self._set(certificate, source, target, kind, params, change)
 
     @property
     def verdict(self) -> bool:

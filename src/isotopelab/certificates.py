@@ -9,7 +9,7 @@ with no steps; re-running a certificate is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import Record
 
 
 def render_value(value) -> str:
@@ -19,12 +19,16 @@ def render_value(value) -> str:
     return str(value)
 
 
-@dataclass
-class Step:
-    description: str
-    check: bool
-    expected: str | None = None
-    actual: str | None = None
+class Step(Record):
+    __slots__ = ("description", "check", "expected", "actual")
+
+    def __init__(
+        self, description: str, check: bool, expected: str | None = None, actual: str | None = None
+    ):
+        self.description = description
+        self.check = check
+        self.expected = expected
+        self.actual = actual
 
     def as_dict(self) -> dict:
         return {
@@ -35,11 +39,16 @@ class Step:
         }
 
 
-@dataclass
-class Certificate:
-    title: str
-    steps: list[Step] = field(default_factory=list)
-    artifacts: dict = field(default_factory=dict, repr=False)
+class Certificate(Record):
+    __slots__ = ("title", "steps", "artifacts")
+
+    def __init__(self, title: str, steps: list[Step] | None = None, artifacts: dict | None = None):
+        self.title = title
+        self.steps = [] if steps is None else steps
+        self.artifacts = {} if artifacts is None else artifacts
+
+    def __repr__(self) -> str:
+        return f"Certificate(title={self.title!r}, steps={self.steps!r})"
 
     @property
     def verdict(self) -> bool:

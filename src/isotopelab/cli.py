@@ -8,7 +8,6 @@ Exit codes: 0 when every check passes, 1 when a certificate check fails,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -94,6 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     if as_json:
+        import json  # here only: a text run need not load it
+
         print(json.dumps(payload, indent=2))
     else:
         print(text)

@@ -9,10 +9,10 @@ denominator), prime-field elements as residues in ``[0, p)``.  Characteristic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Char2FieldError, DomainError, FieldMismatchError
+from .records import FrozenRecord
 
 
 def _is_prime(n: int) -> bool:
@@ -28,18 +28,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(FrozenRecord):
     """Field descriptor: the rationals when ``p is None``, else F_p, p an odd prime."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
-            if self.p == 2:
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if p == 2:
                 raise Char2FieldError("characteristic 2 is not supported")
-            if not _is_prime(self.p):
-                raise DomainError(f"modulus {self.p} is not prime")
+            if not _is_prime(p):
+                raise DomainError(f"modulus {p} is not prime")
+        self._set(p)
+
+    # Field's own: every Matrix product compares fields, and the generic
+    # record equality is several times slower
+    def __eq__(self, other):
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @classmethod
     def rationals(cls) -> "Field":

@@ -9,8 +9,6 @@ algebras is a triple of invertible maps (phi, psi, xi) with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import Algebra, Element, _preserves_products
 from .errors import (
     DimensionMismatchError,
@@ -19,26 +17,25 @@ from .errors import (
 )
 from .fields import Scalar
 from .matrices import Matrix, SolveResult, solve
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Isotopy:
+class Isotopy(FrozenRecord):
     """Triple of invertible linear maps; verified against a pair of algebras
     with :func:`verify_isotopy`."""
 
-    phi: Matrix
-    psi: Matrix
-    xi: Matrix
+    __slots__ = ("phi", "psi", "xi")
 
-    def __post_init__(self):
-        for m in (self.psi, self.xi):
-            if m.field != self.phi.field:
+    def __init__(self, phi: Matrix, psi: Matrix, xi: Matrix):
+        for m in (psi, xi):
+            if m.field != phi.field:
                 raise FieldMismatchError("isotopy maps over different fields")
-            if m.n != self.phi.n:
+            if m.n != phi.n:
                 raise DimensionMismatchError("isotopy maps of different sizes")
-        for m in (self.phi, self.psi, self.xi):
+        for m in (phi, psi, xi):
             if not m.is_invertible():
                 raise SingularMatrixError("isotopy maps must be invertible")
+        self._set(phi, psi, xi)
 
     @classmethod
     def isomorphism(cls, xi: Matrix) -> "Isotopy":
@@ -65,14 +62,13 @@ class Isotopy:
         return Isotopy(self.phi * other.phi, self.psi * other.psi, self.xi * other.xi)
 
 
-@dataclass(frozen=True)
-class RMultReport:
+class RMultReport(FrozenRecord):
     """Right-multiplication operator of an element, with its determinant."""
 
-    element: Element
-    matrix: Matrix
-    determinant: Scalar
-    invertible: bool
+    __slots__ = ("element", "matrix", "determinant", "invertible")
+
+    def __init__(self, element: Element, matrix: Matrix, determinant: Scalar, invertible: bool):
+        self._set(element, matrix, determinant, invertible)
 
 
 def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:

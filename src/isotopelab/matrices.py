@@ -8,7 +8,6 @@ vector.  All arithmetic is exact; there is no floating point anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,6 +18,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import Field, Scalar
+from .records import FrozenRecord
 
 
 class Matrix:
@@ -140,8 +140,7 @@ def row_rank(field: Field, rows) -> int:
     return len(rref(field, rows)[1])
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(FrozenRecord):
     """Solution set of a consistent linear system: a point plus a kernel basis.
 
     The point is the canonical representative with all free coordinates set
@@ -149,8 +148,10 @@ class SolveResult:
     An empty kernel means the solution is unique.
     """
 
-    point: tuple[Scalar, ...]
-    kernel: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ("point", "kernel")
+
+    def __init__(self, point: tuple[Scalar, ...], kernel: tuple[tuple[Scalar, ...], ...]):
+        self._set(point, kernel)
 
 
 def solve(field: Field, rows, rhs) -> SolveResult | None:

@@ -18,7 +18,6 @@ far: a multiple c v is in a span iff v is, and v comes first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from operator import add, mul
 
 from .algebras import Algebra, Element, _contract, _residues
@@ -26,6 +25,7 @@ from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Field, Scalar, _is_prime
 from .matrices import _combination
+from .records import FrozenRecord
 
 BRUTE_FORCE_BUDGET = 10**6
 
@@ -33,8 +33,7 @@ METHOD_EXACT_C = "exact-cfamily"
 METHOD_BRUTE_FP = "bruteforce-fp"
 
 
-@dataclass(frozen=True)
-class NilReport:
+class NilReport(FrozenRecord):
     """Nil-rank with independent witnesses, each squaring to zero.
 
     ``closure_caveat`` is True when the result came from enumerating a
@@ -43,11 +42,17 @@ class NilReport:
     live in gf p.
     """
 
-    rank: int
-    witnesses: tuple[Element, ...]
-    method: str
-    closure_caveat: bool
-    reduced_mod: int | None = None
+    __slots__ = ("rank", "witnesses", "method", "closure_caveat", "reduced_mod")
+
+    def __init__(
+        self,
+        rank: int,
+        witnesses: tuple[Element, ...],
+        method: str,
+        closure_caveat: bool,
+        reduced_mod: int | None = None,
+    ):
+        self._set(rank, witnesses, method, closure_caveat, reduced_mod)
 
 
 def is_nil_index2(a: Element) -> bool:
@@ -237,4 +242,5 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
             p += 2
     elif (tensor := _residues(A, p)) is None:
         raise DomainError(f"structure constants are not reducible mod {p}")
-    return replace(nil_rank_bruteforce(Algebra(Field.gf(p), tensor, names=A.names)), reduced_mod=p)
+    report = nil_rank_bruteforce(Algebra(Field.gf(p), tensor, names=A.names))
+    return NilReport(report.rank, report.witnesses, report.method, report.closure_caveat, p)

@@ -471,10 +471,20 @@ def _needs(name: str, option: str) -> DomainError:
     return DomainError(f"{name} needs --{option} {PIPELINES[name][1][option]}".rstrip())
 
 
+def _reduce(field: Field, option: str, value):
+    """A given scalar option as an element of the field: a denominator that
+    vanishes mod p is a DomainError, not a ZeroDivisionError mid-run."""
+    try:
+        return field.scalar(value)
+    except ZeroDivisionError:
+        raise DomainError(f"--{option} {value} is not an element of {field}") from None
+
+
 def run_witness(name: str, field: Field = QQ, **options) -> Certificate:
     """Run a witness pipeline by name (used by the command line).  An option
     given as None counts as not given; an option the pipeline does not take
-    is a DomainError, not ignored."""
+    is a DomainError, not ignored.  Given scalar options are reduced into
+    the field first."""
     if name not in PIPELINES:
         raise DomainError(f"unknown witness {name!r}; choose from {', '.join(WITNESS_NAMES)}")
     pipeline, defaults = PIPELINES[name]
@@ -486,4 +496,9 @@ def run_witness(name: str, field: Field = QQ, **options) -> Certificate:
     for option, value in kwargs.items():
         if isinstance(value, _Required):
             raise _needs(name, option)
+    for option, value in given.items():
+        if option == "abg":
+            kwargs[option] = tuple(_reduce(field, option, v) for v in value)
+        elif option in ("rho", "sigma", "tau"):
+            kwargs[option] = _reduce(field, option, value)
     return pipeline(field=field, **kwargs)

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -333,3 +336,52 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.alg")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["lemma11", "--rho", "1/3", "--gf", "3"], "--rho 1/3 is not an element of gf 3"),
+        (["lemma1", "--sigma", "1/5", "--gf", "5"], "--sigma 1/5 is not an element of gf 5"),
+        (["lemma1", "--tau", "2/7", "--gf", "7"], "--tau 2/7 is not an element of gf 7"),
+        (["theorem1", "--abg", "1/3,1,0", "--gf", "3"], "--abg 1/3 is not an element of gf 3"),
+    ],
+)
+def test_witness_scalar_outside_the_field_is_a_domain_error(capsys, args, message):
+    code, out, err = run(capsys, "witness", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: DomainError: {message}\n"
+
+
+# Runs the CLI as ``python -m`` would, then reports on standard error which
+# of the modules a call should not need were loaded.
+_STARTUP_PROBE = """
+import runpy, sys
+sys.argv = ["isotopelab", *sys.argv[1:]]
+try:
+    runpy.run_module("isotopelab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+heavy = sorted({"dataclasses", "inspect", "typing", "json"} & set(sys.modules))
+print(f"exit {code}; loaded {heavy}", file=sys.stderr)
+"""
+
+
+def _startup(*argv):
+    # -S keeps site hooks (and the .pth files they run) out of the import set
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_PROBE, *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.stdout, proc.stderr.splitlines()[-1]
+
+
+def test_cli_startup_imports_no_more_than_it_needs():
+    out, report = _startup("witness", "theorem2")
+    assert report == "exit 0; loaded []"
+    assert out.startswith("certificate: theorem2")
+    out, report = _startup("witness", "theorem2", "--json")
+    assert report == "exit 0; loaded ['json']"
+    assert json.loads(out)["verdict"] is True
