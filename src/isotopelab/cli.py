@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .algebras import (
     find_unit,
@@ -26,7 +25,7 @@ from .algfile import (
     serialize_matrix,
     write_algebra_file,
 )
-from .errors import AlgebraError, ParseError, SearchBudgetExceededError
+from .errors import AlgebraError, SearchBudgetExceededError
 from .fields import Field
 from .isotopes import principal_isotope, r_mult_report, right_mult_fibre
 from .nilpotents import nil_rank
@@ -241,24 +240,11 @@ def _cmd_nilrank(args) -> int:
     return 0
 
 
-def _parse_scalar_arg(text: str | None, option: str) -> Fraction | None:
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad {option} value {text!r}") from None
-
-
 def _cmd_witness(args) -> int:
     field = Field.gf(args.gf) if args.gf is not None else Field.rationals()
-    rho = _parse_scalar_arg(args.rho, "--rho")
-    abg = None
-    if args.abg is not None:
-        abg = tuple(_parse_scalar_arg(t, "--abg") for t in args.abg.split(","))
-    sigma = _parse_scalar_arg(args.sigma, "--sigma")
-    tau = _parse_scalar_arg(args.tau, "--tau")
-    cert = run_witness(args.name, field, rho=rho, n=args.n, abg=abg, sigma=sigma, tau=tau)
+    abg = args.abg.split(",") if args.abg is not None else None
+    cert = run_witness(args.name, field, rho=args.rho, n=args.n, abg=abg,
+                       sigma=args.sigma, tau=args.tau)
     _emit(cert.as_dict(), args.json, cert.render())
     return 0 if cert.verdict else 1
 

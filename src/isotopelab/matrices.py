@@ -37,14 +37,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diagonal(field, [field.one] * n)
 
     @classmethod
     def scalar_matrix(cls, field: Field, n: int, value) -> "Matrix":
-        s = field.scalar(value)
-        zero = field.zero
-        return cls(field, [[s if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diagonal(field, [value] * n)
 
     @classmethod
     def diagonal(cls, field: Field, values) -> "Matrix":
@@ -53,16 +50,13 @@ class Matrix:
         n = len(vals)
         return cls(field, [[vals[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    def _check_compatible(self, other: "Matrix"):
+    def __mul__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.field != other.field:
             raise FieldMismatchError("matrices over different fields")
         if self.n != other.n:
             raise DimensionMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_compatible(other)
         zero = self.field.zero
         return Matrix(self.field, [_combination(row, other.rows, zero) for row in self.rows])
 
@@ -102,10 +96,8 @@ class Matrix:
         # invertible; otherwise a pivot falls into the right half
         n = self.n
         one, zero = self.field.one, self.field.zero
-        tracker = SpanTracker(self.field)
-        for i, row in enumerate(self.rows):
-            tracker.add(list(row) + [one if i == j else zero for j in range(n)])
-        rows, pivots = tracker._reduced()
+        rows, pivots = rref(self.field, [row + tuple(one if i == j else zero for j in range(n))
+                                         for i, row in enumerate(self.rows)])
         if pivots[-1] != n - 1:
             raise SingularMatrixError("matrix is singular")
         return Matrix(self.field, [r[n:] for r in rows])
@@ -129,15 +121,33 @@ class Matrix:
 
 
 def rref(field: Field, rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    The package's one back-substitution: the rows go into a
+    :class:`SpanTracker`, and each row of its semi-echelon basis, last
+    first, is inserted in raw values into the already reduced later ones.
+    Each row is then made monic once, in Scalars.  The result depends only
+    on the span of ``rows``.
+    """
     tracker = SpanTracker(field)
     for row in rows:
         tracker.add(row)
-    return tracker._reduced()
+    reduced: list[list[int]] = []
+    pivots: list[int] = []
+    for row in reversed(tracker.rows):
+        _insert(row, reduced, pivots, field.p)
+    monic = []
+    for i in sorted(range(len(pivots)), key=pivots.__getitem__):
+        inv = field.scalar(reduced[i][pivots[i]]).inverse().value
+        monic.append([field.scalar(v * inv) for v in reduced[i]])
+    return monic, sorted(pivots)
 
 
 def row_rank(field: Field, rows) -> int:
-    return len(rref(field, rows)[1])
+    tracker = SpanTracker(field)
+    for row in rows:
+        tracker.add(row)
+    return tracker.dim
 
 
 class SolveResult(FrozenRecord):
@@ -167,11 +177,8 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
         raise DomainError("empty system")
     width = len(rows[0])
     # [A | b] is inconsistent exactly when a pivot lands in the b column;
-    # the tracker rejects a ragged system
-    tracker = SpanTracker(field)
-    for row, b in zip(rows, rhs):
-        tracker.add(row + [b])
-    aug, pivots = tracker._reduced()
+    # rref's tracker rejects a ragged system
+    aug, pivots = rref(field, [row + [b] for row, b in zip(rows, rhs)])
     if pivots and pivots[-1] == width:
         return None
     zero = field.zero
@@ -287,8 +294,7 @@ class SpanTracker:
 
     Each vector enters once as raw values (:func:`_raw`), and a vector
     whose length differs from the first one's is a DimensionMismatchError.
-    ``rref``, ``solve`` and ``Matrix.inverse`` read the reduced echelon form
-    off one back-substitution pass; it depends only on the span.
+    :func:`rref` back-substitutes over its rows; ``dim`` is the rank.
     """
 
     def __init__(self, field: Field):
@@ -311,21 +317,6 @@ class SpanTracker:
     def add(self, vec) -> bool:
         """Insert ``vec``; True if it enlarged the span."""
         return _insert(self._checked(vec), self.rows, self.pivots, self.field.p) is not None
-
-    def _reduced(self) -> tuple[list[list[Scalar]], list[int]]:
-        """Reduced echelon form (rows, ascending pivots) by back-substitution
-        in raw values: each row, last first, is inserted into the already
-        reduced later ones.  Each row is then made monic once, in Scalars."""
-        field = self.field
-        rows: list[list[int]] = []
-        pivots: list[int] = []
-        for row in reversed(self.rows):
-            _insert(row, rows, pivots, field.p)
-        monic = []
-        for i in sorted(range(len(pivots)), key=pivots.__getitem__):
-            inv = field.scalar(rows[i][pivots[i]]).inverse().value
-            monic.append([field.scalar(v * inv) for v in rows[i]])
-        return monic, sorted(pivots)
 
     @property
     def dim(self) -> int:

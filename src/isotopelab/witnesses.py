@@ -7,6 +7,8 @@ catalog; the corresponding statements are spelled out in each docstring.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebras import (
     Algebra,
     _envelope,
@@ -29,7 +31,7 @@ from .catalog import (
     to_canonical_C,
 )
 from .certificates import Certificate
-from .errors import DomainError, NilRank3Error, NonSimpleError, SearchBudgetExceededError
+from .errors import DomainError, NilRank3Error, NonSimpleError, ParseError, SearchBudgetExceededError
 from .fields import QQ, Field
 from .isotopes import (
     Isotopy,
@@ -49,7 +51,9 @@ def witness_lemma1(A: Algebra, sigma, tau) -> Certificate:
     s = field.scalar(sigma)
     t = field.scalar(tau)
     if not s or not t:
-        raise DomainError("the scaling factors must be nonzero")
+        raise DomainError(
+            f"the scaling factors must be nonzero in {field} (sigma = {sigma}, tau = {tau})"
+        )
     cert = Certificate(f"lemma1: homothety isotope (sigma = {s}, tau = {t})")
     iso = principal_isotope(
         A, Matrix.scalar_matrix(field, A.n, s), Matrix.scalar_matrix(field, A.n, t)
@@ -472,8 +476,14 @@ def _needs(name: str, option: str) -> DomainError:
 
 
 def _reduce(field: Field, option: str, value):
-    """A given scalar option as an element of the field: a denominator that
+    """A given scalar option, a number or its text, as an element of the
+    field: text that is no fraction is a ParseError, and a denominator that
     vanishes mod p is a DomainError, not a ZeroDivisionError mid-run."""
+    if isinstance(value, str):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad --{option} value {value!r}") from None
     try:
         return field.scalar(value)
     except ZeroDivisionError:
@@ -483,8 +493,8 @@ def _reduce(field: Field, option: str, value):
 def run_witness(name: str, field: Field = QQ, **options) -> Certificate:
     """Run a witness pipeline by name (used by the command line).  An option
     given as None counts as not given; an option the pipeline does not take
-    is a DomainError, not ignored.  Given scalar options are reduced into
-    the field first."""
+    is a DomainError, not ignored.  Given scalar options, numbers or their
+    text, are reduced into the field first (:func:`_reduce`)."""
     if name not in PIPELINES:
         raise DomainError(f"unknown witness {name!r}; choose from {', '.join(WITNESS_NAMES)}")
     pipeline, defaults = PIPELINES[name]

@@ -29,11 +29,12 @@ from isotopelab import (
     j2,
     jordan_bilinear,
     nil_set_bruteforce,
+    span_rank,
     verify_isomorphism,
 )
 from isotopelab.algebras import ENVELOPE_PRIME, _envelope, _operators, _residues, _unit_mod
 from isotopelab.algfile import parse_algebra_file
-from isotopelab.matrices import random_invertible
+from isotopelab.matrices import random_invertible, row_rank
 
 QQ = Field.rationals()
 F3 = Field.gf(3)
@@ -149,6 +150,12 @@ def test_noncommutative_products_against_triple_sum(case):
     n = A.n
     got = [s.value for s in A.mul_coords(A.element(u).coords, A.element(v).coords)]
     assert got == _values(field, _triple_sum(c, u, v))
+    # a scalar on either side of either factor scales the product
+    x, y = A.element(u), A.element(v)
+    assert (x * 2).coords == (x + x).coords
+    half = Fraction(1, 2)
+    scaled = tuple(half * s for s in (x * y).coords)
+    assert ((half * x) * y).coords == (x * (y * half)).coords == scaled
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     rv = A.element(v).right_mult_matrix()
     lv = A.element(v).left_mult_matrix()
@@ -450,6 +457,31 @@ def elimination_rank(field, rows):
                     rows[i] = [a % p for a in rows[i]]
         rank += 1
     return rank
+
+
+# row lists for the rank functions: wide, tall, dependent (over QQ, or only
+# mod 5: det [[1, 2], [3, 1]] = -5) and all zero
+RANK_ROWS = {
+    "wide": [[1, 2, 3, 0], [0, 1, 4, 2]],
+    "tall": [[1, 0], [0, 1], [1, 1]],
+    "dependent": [[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, 1, 0], [1, 3, 1, 1]],
+    "dependent fractions": [[Fraction(1, 2), Fraction(1, 3), 0], [3, 2, 0]],
+    "dependent mod 5": [[1, 2], [3, 1]],
+    "all zero": [[0, 0, 0], [0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+@pytest.mark.parametrize("rows", RANK_ROWS.values(), ids=RANK_ROWS)
+def test_ranks_match_elimination_oracle(field, rows):
+    expected = elimination_rank(field, [[field.scalar(v) for v in r] for r in rows])
+    assert row_rank(field, rows) == expected
+    A = Algebra.from_products(field, len(rows[0]), {})
+    assert span_rank([A.element(r) for r in rows]) == expected
+    # zero rows and columns that pad the rows to a square leave the rank
+    size = max(len(rows), len(rows[0]))
+    square = [r + [0] * (size - len(r)) for r in rows] + [[0] * size] * (size - len(rows))
+    assert Matrix(field, square).rank() == expected
 
 
 def envelope_dim_oracle(A):

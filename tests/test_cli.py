@@ -345,6 +345,9 @@ def test_missing_file_exit_code(capsys):
         (["lemma1", "--sigma", "1/5", "--gf", "5"], "--sigma 1/5 is not an element of gf 5"),
         (["lemma1", "--tau", "2/7", "--gf", "7"], "--tau 2/7 is not an element of gf 7"),
         (["theorem1", "--abg", "1/3,1,0", "--gf", "3"], "--abg 1/3 is not an element of gf 3"),
+        # the default tau = 3 is 0 in gf 3
+        (["lemma1", "--gf", "3"],
+         "the scaling factors must be nonzero in gf 3 (sigma = 2, tau = 3)"),
     ],
 )
 def test_witness_scalar_outside_the_field_is_a_domain_error(capsys, args, message):

@@ -85,8 +85,11 @@ def test_rational_field_axioms(a, b):
     assert (x + y).value == a + b
     assert (x * y).value == a * b
     assert (x - y) + y == x
+    assert (x**3).value == a**3
     if b != 0:
         assert (x / y) * y == x
+        assert (1 / y).value == 1 / b
+        assert (y**-2).value == 1 / (b * b)
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
