@@ -128,7 +128,7 @@ class Algebra:
     def __eq__(self, other):
         if not isinstance(other, Algebra):
             return NotImplemented
-        return self.field == other.field and self.n == other.n and self.table == other.table
+        return self.field is other.field and self.n == other.n and self.table == other.table
 
     def __hash__(self):
         return hash((self.field, self.table))
@@ -197,7 +197,7 @@ class Element:
 
     def apply(self, m: Matrix) -> "Element":
         """Image under a linear operator (row vector times matrix)."""
-        if m.field != self.algebra.field:
+        if m.field is not self.algebra.field:
             raise FieldMismatchError("operator over a different field")
         return Element(self.algebra, m.apply(self.coords))
 
@@ -448,9 +448,9 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
 def _preserves_products(A: Algebra, B: Algebra, phi: Matrix, psi: Matrix, xi: Matrix) -> bool:
     """Whether (e_i phi)(e_j psi) = (e_i e_j) xi in B for every basis pair of
     A (enough, by bilinearity); the maps share one field and size."""
-    if A.field != B.field or A.n != B.n:
+    if A.field is not B.field or A.n != B.n:
         return False
-    if phi.field != A.field or phi.n != A.n:
+    if phi.field is not A.field or phi.n != A.n:
         return False
     return all(
         B.mul_coords(phi.rows[i], psi.rows[j]) == xi.apply(A.table[i][j])
@@ -544,7 +544,7 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
       unital u_A xi = u_B joins the equations of the last row that u_A
       touches, and with exactly one unital there is no isomorphism.
     """
-    if A.field != B.field:
+    if A.field is not B.field:
         raise FieldMismatchError("isomorphism search requires one common field")
     p = A.field.p
     if p is None:

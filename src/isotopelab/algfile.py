@@ -28,7 +28,7 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def _parse_value(token: str, field: Field, lineno: int):
+def _parse_value(token: str, field: Field, lineno: int | None = None):
     try:
         return field.scalar(Fraction(token))
     except (ValueError, ZeroDivisionError) as exc:
@@ -115,7 +115,7 @@ def serialize_algebra(A: Algebra, comment: str | None = None) -> str:
     lines = []
     if comment:
         lines.append(f"# {comment}")
-    lines.append("field rational" if A.field.is_rational else f"field gf {A.field.p}")
+    lines.append(f"field {A.field}")
     lines.append(f"dim {A.n}")
     if A.names is not None:
         lines.append("names " + " ".join(A.names))
@@ -157,4 +157,4 @@ def parse_element_coords(text: str, A: Algebra):
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != A.n:
         raise ParseError(f"expected {A.n} coordinates, got {len(tokens)}")
-    return A.element([_parse_value(t, A.field, 1) for t in tokens])
+    return A.element([_parse_value(t, A.field) for t in tokens])

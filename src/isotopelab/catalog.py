@@ -31,6 +31,20 @@ from .matrices import Matrix, solve
 from .records import FrozenRecord
 
 
+def _commutative(field: Field, names, products: dict) -> Algebra:
+    """The commutative algebra on ``names`` with e_i e_j = e_j e_i =
+    sum_k c e_k for each ``(i, j): {k: c}`` of ``products``, i <= j; pairs
+    not given multiply to zero."""
+    n = len(names)
+    table = {}
+    for (i, j), terms in products.items():
+        vec = [0] * n
+        for k, c in terms.items():
+            vec[k] = c
+        table[i, j] = table[j, i] = vec
+    return Algebra.from_products(field, n, table, names=names)
+
+
 def jordan_bilinear(field: Field, gram) -> Algebra:
     """Unital algebra F1 + V of a symmetric bilinear form given by its Gram
     matrix: (a 1 + x)(b 1 + y) = (a b + f(x, y)) 1 + a y + b x."""
@@ -38,23 +52,14 @@ def jordan_bilinear(field: Field, gram) -> Algebra:
     m = len(rows)
     if m == 0 or any(len(r) != m for r in rows):
         raise DimensionMismatchError("Gram matrix must be square and nonempty")
-    for i in range(m):
-        for j in range(m):
-            if rows[i][j] != rows[j][i]:
-                raise DomainError("Gram matrix must be symmetric")
-    n = m + 1
-    zero, one = field.zero, field.one
-    products = {}
-    products[(0, 0)] = [one] + [zero] * m
-    for i in range(m):
-        vec = [zero] * n
-        vec[i + 1] = one
-        products[(0, i + 1)] = vec
-        products[(i + 1, 0)] = list(vec)
-        for j in range(m):
-            products[(i + 1, j + 1)] = [rows[i][j]] + [zero] * m
-    names = ["1"] + [f"v{i + 1}" for i in range(m)]
-    return Algebra.from_products(field, n, products, names=names)
+    if any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)):
+        raise DomainError("Gram matrix must be symmetric")
+    products = {(0, 0): {0: 1}}
+    for i in range(1, m + 1):
+        products[0, i] = {i: 1}
+        for j in range(i, m + 1):
+            products[i, j] = {0: rows[i - 1][j - 1]}
+    return _commutative(field, ["1"] + [f"v{i + 1}" for i in range(m)], products)
 
 
 def j2(field: Field) -> Algebra:
@@ -65,56 +70,25 @@ def j2(field: Field) -> Algebra:
 
 def c_family(field: Field, alpha, beta, gamma) -> Algebra:
     """<1, x, y | x^2 = y^2 = 0, xy = yx = alpha 1 + beta x + gamma y>."""
-    a = field.scalar(alpha)
-    b = field.scalar(beta)
-    g = field.scalar(gamma)
-    one, zero = field.one, field.zero
-    products = {
-        (0, 0): [one, zero, zero],
-        (0, 1): [zero, one, zero],
-        (1, 0): [zero, one, zero],
-        (0, 2): [zero, zero, one],
-        (2, 0): [zero, zero, one],
-        (1, 2): [a, b, g],
-        (2, 1): [a, b, g],
-    }
-    return Algebra.from_products(field, 3, products, names=("1", "x", "y"))
+    return _commutative(field, ("1", "x", "y"), {
+        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: alpha, 1: beta, 2: gamma},
+    })
 
 
 def c_rho(field: Field, rho) -> Algebra:
-    r = field.scalar(rho)
-    return c_family(field, r, r, r)
+    return c_family(field, rho, rho, rho)
 
 
 def c2(field: Field) -> Algebra:
     """<a, b, c | a^2 = b, ab = a, ac = c, b^2 = c^2 = 0, bc = b>, commutative."""
-    one, zero = field.one, field.zero
-    e = lambda i: [one if k == i else zero for k in range(3)]
-    products = {
-        (0, 0): e(1),
-        (0, 1): e(0),
-        (1, 0): e(0),
-        (0, 2): e(2),
-        (2, 0): e(2),
-        (1, 2): e(1),
-        (2, 1): e(1),
-    }
-    return Algebra.from_products(field, 3, products, names=("a", "b", "c"))
+    return _commutative(field, ("a", "b", "c"), {
+        (0, 0): {1: 1}, (0, 1): {0: 1}, (0, 2): {2: 1}, (1, 2): {1: 1},
+    })
 
 
 def c3(field: Field) -> Algebra:
     """<x, y, z | x^2 = y^2 = z^2 = 0, xy = z, yz = x, zx = y>, commutative."""
-    one, zero = field.one, field.zero
-    e = lambda i: [one if k == i else zero for k in range(3)]
-    products = {
-        (0, 1): e(2),
-        (1, 0): e(2),
-        (1, 2): e(0),
-        (2, 1): e(0),
-        (2, 0): e(1),
-        (0, 2): e(1),
-    }
-    return Algebra.from_products(field, 3, products, names=("x", "y", "z"))
+    return _commutative(field, ("x", "y", "z"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: 1}})
 
 
 def g_n(field: Field, n: int) -> Algebra:
@@ -123,24 +97,9 @@ def g_n(field: Field, n: int) -> Algebra:
     x_i e = x_i + x_{i+1} for 2 <= i <= n - 1, and x_n e = x_n + x_1."""
     if n < 2:
         raise DomainError("the family needs n >= 2")
-    dim = n + 1
-    one, zero = field.one, field.zero
-
-    def vec(*idx):
-        v = [zero] * dim
-        for i in idx:
-            v[i] = v[i] + one
-        return v
-
-    products = {(n, n): vec(n)}
-    products[(0, n)] = vec(n, 1)
-    for i in range(1, n - 1):
-        products[(i, n)] = vec(i, i + 1)
-    products[(n - 1, n)] = vec(n - 1, 0)
-    for i in range(n):
-        products[(n, i)] = list(products[(i, n)])
-    names = tuple(f"x{i + 1}" for i in range(n)) + ("e",)
-    return Algebra.from_products(field, dim, products, names=names)
+    products = {(n, n): {n: 1}, (0, n): {n: 1, 1: 1}, (n - 1, n): {n - 1: 1, 0: 1}}
+    products.update({(i, n): {i: 1, i + 1: 1} for i in range(1, n - 1)})
+    return _commutative(field, tuple(f"x{i + 1}" for i in range(n)) + ("e",), products)
 
 
 def catalog_algebras(field: Field) -> dict[str, Algebra]:

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic over the rationals and over odd prime fields F_p.
 
 A :class:`Field` is a lightweight descriptor (rationals, or F_p for an odd
-prime p); a :class:`Scalar` pairs a field with a normalized value.  Rationals
+prime p), one object per field, so fields compare by identity; a
+:class:`Scalar` pairs a field with a normalized value.  Rationals
 are stored as :class:`fractions.Fraction` (always in lowest terms, positive
 denominator), prime-field elements as residues in ``[0, p)``.  Characteristic
 2 is rejected at field construction: 2 must be invertible everywhere.
@@ -28,28 +29,34 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# p (None for the rationals) -> its one Field; an invalid p is never stored
+_FIELDS: dict = {}
+
+
 class Field(FrozenRecord):
-    """Field descriptor: the rationals when ``p is None``, else F_p, p an odd prime."""
+    """Field descriptor: the rationals when ``p is None``, else F_p, p an odd
+    prime.  ``Field(p)`` returns the same object on every call, and so do
+    copies and pickles of it."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int | None = None):
-        if p is not None:
-            if p == 2:
-                raise Char2FieldError("characteristic 2 is not supported")
-            if not _is_prime(p):
-                raise DomainError(f"modulus {p} is not prime")
-        self._set(p)
+    def __new__(cls, p: int | None = None):
+        field = _FIELDS.get(p)
+        if field is None:
+            if p is not None:
+                if p.__class__ is not int:
+                    raise TypeError(f"modulus must be an int, not {p!r}")
+                if p == 2:
+                    raise Char2FieldError("characteristic 2 is not supported")
+                if not _is_prime(p):
+                    raise DomainError(f"modulus {p} is not prime")
+            field = object.__new__(cls)
+            field._set(p)
+            _FIELDS[p] = field
+        return field
 
-    # Field's own: every Matrix product compares fields, and the generic
-    # record equality is several times slower
-    def __eq__(self, other):
-        if other.__class__ is not Field:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
+    def __reduce__(self):
+        return Field, (self.p,)
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -59,14 +66,10 @@ class Field(FrozenRecord):
     def gf(cls, p: int) -> "Field":
         return cls(p)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def scalar(self, value) -> "Scalar":
         """Coerce ``value`` (Scalar, int, Fraction, or string like ``-3/2``) into this field."""
         if isinstance(value, Scalar):
-            if value.field is not self and value.field != self:
+            if value.field is not self:
                 raise FieldMismatchError(f"scalar over {value.field} used in {self}")
             return value
         if isinstance(value, str):
@@ -113,7 +116,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatchError(
                     f"cannot combine scalars over {self.field} and {other.field}"
                 )
@@ -197,16 +200,14 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.value == 0
+        return not self.value
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.value)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return (
-                self.field is other.field or self.field == other.field
-            ) and self.value == other.value
+            return self.field is other.field and self.value == other.value
         if isinstance(other, (int, Fraction)):
             p = self.field.p
             if p is not None and other.denominator % p == 0:

@@ -28,7 +28,7 @@ class Isotopy(FrozenRecord):
 
     def __init__(self, phi: Matrix, psi: Matrix, xi: Matrix):
         for m in (psi, xi):
-            if m.field != phi.field:
+            if m.field is not phi.field:
                 raise FieldMismatchError("isotopy maps over different fields")
             if m.n != phi.n:
                 raise DimensionMismatchError("isotopy maps of different sizes")
@@ -73,7 +73,7 @@ class RMultReport(FrozenRecord):
 
 def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
     """The algebra A^(f, g) on the same space: e_i * e_j = (e_i f)(e_j g)."""
-    if f.field != A.field or g.field != A.field:
+    if f.field is not A.field or g.field is not A.field:
         raise FieldMismatchError("operators over a different field")
     if f.n != A.n or g.n != A.n:
         raise DimensionMismatchError("operator size does not match the algebra")
@@ -107,7 +107,7 @@ def right_mult_fibre(A: Algebra, m: Matrix) -> SolveResult | None:
     """Solution set of R_g = m in the unknown element g, or None.  Row i of
     R_g is e_i g = g L_{e_i}, and (g L_{e_i})_k = sum_j g_j c_ijk: the system
     needs all n L_{e_i}, so it reads them straight off the tensor."""
-    if m.field != A.field or m.n != A.n:
+    if m.field is not A.field or m.n != A.n:
         raise DimensionMismatchError("matrix does not match the algebra")
     n = A.n
     rows = [[cell[k] for cell in A.table[i]] for i in range(n) for k in range(n)]

@@ -53,7 +53,7 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatchError("matrices over different fields")
         if self.n != other.n:
             raise DimensionMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
@@ -108,7 +108,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.field, self.rows))

@@ -484,6 +484,10 @@ def test_ranks_match_elimination_oracle(field, rows):
     assert Matrix(field, square).rank() == expected
 
 
+def test_span_rank_of_no_elements():
+    assert span_rank([]) == 0
+
+
 def envelope_dim_oracle(A):
     """Round-based closure: keep a maximal independent set of operator
     words, extend it by whole rounds of pairwise products, recompute the
@@ -767,6 +771,8 @@ DUAL_NUMBERS = Algebra.from_products(F5, 2, {(0, 1): [1, 0], (1, 0): [1, 0], (1,
 ))
 # a source whose unit, (1, 2), touches both rows
 @example((transported(DUAL_NUMBERS, Matrix(F5, [[1, 1], [2, 0]])), DUAL_NUMBERS))
+# algebras of different dimensions
+@example((DENSE_2, c_family(F5, 1, 1, 0)))
 def test_isomorphism_search_against_flat_scan(pair):
     # the first matrix of the flat lexicographic scan accepted by
     # verify_isomorphism, or None: the pruned search must return exactly it

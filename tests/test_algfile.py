@@ -77,6 +77,14 @@ def test_duplicate_entry_rejected():
         ("field hyperreal\ndim 1\n", "expected 'field rational'"),
         ("field rational\n", "missing dim"),
         ("", "missing field"),
+        ("field rational\nfield gf 5\ndim 1\n", "line 2: field specified twice"),
+        ("field gf x\ndim 1\n", "line 1: bad modulus 'x'"),
+        ("field rational\ndim 2\ndim 2\n", "line 3: dim specified twice"),
+        ("field rational\ndim x\n", "line 2: expected 'dim <n>'"),
+        ("field rational\ndim 0\n", "line 2: dimension must be >= 1"),
+        ("field rational\nnames a b\ndim 2\n", "line 2: names line before dim"),
+        ("field rational\ndim 2\nc 1 1 1\n", "line 3: expected 'c <i> <j> <k> <value>'"),
+        ("field rational\ndim 2\nc 1 x 1 1\n", "line 3: indices must be integers"),
     ],
 )
 def test_parse_errors_carry_messages(text, fragment):

@@ -2,7 +2,9 @@ import pathlib
 
 import pytest
 
+import isotopelab.catalog as catalog
 from isotopelab import (
+    Algebra,
     DependentNilsError,
     DomainError,
     Field,
@@ -123,7 +125,7 @@ def test_to_canonical_c_identity_on_crho():
     assert (alpha.value, beta.value, gamma.value) == (-2, -2, -2)
 
 
-def test_to_canonical_c_errors():
+def test_to_canonical_c_errors(monkeypatch):
     J = j2(QQ)
     one, x, y = J.basis()
     with pytest.raises(DependentNilsError):
@@ -133,6 +135,17 @@ def test_to_canonical_c_errors():
         to_canonical_C(C, C.basis_element(1), C.basis_element(2))
     with pytest.raises(DomainError):
         to_canonical_C(J, one, y)  # unit is not nil
+    G = g_n(QQ, 3)
+    with pytest.raises(DomainError, match="needs dimension 3"):
+        to_canonical_C(G, G.basis_element(0), G.basis_element(1))
+    N = Algebra.from_products(QQ, 3, {(0, 1): [0, 0, 1]})
+    with pytest.raises(DomainError, match="needs a commutative algebra"):
+        to_canonical_C(N, N.basis_element(1), N.basis_element(2))
+    # e = a x + b y with x^2 = y^2 = 0 gives x = b xy and y = a xy, so no
+    # unital algebra has one; a planted unit x + y reaches the check
+    monkeypatch.setattr(catalog, "find_unit", lambda A: x + y)
+    with pytest.raises(DependentNilsError, match="unit lies in the span"):
+        to_canonical_C(J, x, y)
 
 
 # ---------------------------------------------------------------------------

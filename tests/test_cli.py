@@ -218,6 +218,16 @@ def test_rmul(capsys):
     assert "invertible: yes" in out
 
 
+def test_rmul_bad_coordinate_names_no_line(capsys):
+    # the coordinates come from an option, not from a line of a file
+    code, out, err = run(capsys, "rmul", str(ALGEBRAS / "j2.alg"), "--elem", "1,x,0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ParseError: bad scalar 'x' "
+        "(Invalid literal for Fraction: 'x')\n"
+    )
+
+
 def test_nilrank_command(capsys):
     code, out, _ = run(capsys, "nilrank", str(ALGEBRAS / "c3.alg"), "--p", "5")
     assert code == 0
@@ -308,6 +318,17 @@ def test_express_rmul(tmp_path, capsys):
     )
     assert code == 0
     assert "none" in out
+    # on the zero algebra every element has R = 0: a 3-dimensional family
+    zero_path = tmp_path / "zero.alg"
+    zero_path.write_text("field rational\ndim 3\n")
+    m_path.write_text("0 0 0\n0 0 0\n0 0 0\n")
+    argv = ["express-rmul", str(zero_path), "--mat", str(m_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "element: (0, 0, 0)  (one of an affine family, kernel dimension 3)\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["kernel_dim"] == 3
 
 
 def test_iso_search_command(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isotopelab import Char2FieldError, DomainError, Field
+from isotopelab import QQ, Char2FieldError, DomainError, Field
 
 rationals = Field.rationals()
 f5 = Field.gf(5)
@@ -22,6 +24,29 @@ def test_nonprime_modulus_rejected():
 
 def test_p3_allowed():
     assert Field.gf(3).p == 3
+
+
+def test_one_object_per_field():
+    assert Field(5) is Field.gf(5) is Field(p=5)
+    assert Field() is Field.rationals() is Field(None) is QQ
+    assert Field(5) is not Field(7)
+    for field in (QQ, f5):
+        assert copy.copy(field) is field
+        assert copy.deepcopy(field) is field
+        assert copy.deepcopy([field])[0] is field
+        assert pickle.loads(pickle.dumps(field)) is field
+
+
+def test_invalid_moduli_raise_on_every_call():
+    # a modulus that fails its checks is never kept
+    for _ in range(2):
+        with pytest.raises(Char2FieldError):
+            Field(2)
+        with pytest.raises(DomainError):
+            Field(9)
+        # a modulus that is no int is refused, never kept in place of an int
+        with pytest.raises(TypeError):
+            Field(7.5)
 
 
 @given(st.integers(-1000, 1000), st.integers(1, 1000))

@@ -1,3 +1,4 @@
+import json
 import pathlib
 from fractions import Fraction
 
@@ -299,6 +300,43 @@ def test_run_witnesses_script_matches_golden(run_script):
     assert proc.returncode == 0, proc.stderr.decode()
     golden = pathlib.Path(__file__).resolve().parent / "data" / "run_witnesses.txt"
     assert proc.stdout == golden.read_bytes()
+
+
+# (name, field, options): the script's QQ runs, then runs over gf p
+WITNESS_JSON_RUNS = [
+    ("lemma1", QQ, {}),
+    ("lemma6", QQ, {}),
+    ("lemma10", QQ, {}),
+    ("lemma11", QQ, {"rho": 1}),
+    ("lemma11", QQ, {"rho": "-1/2"}),
+    ("theorem1", QQ, {"abg": (2, 1, 4)}),
+    ("theorem1", QQ, {"abg": (1, 1, 0)}),
+    ("theorem1", QQ, {"abg": (3, 0, 0)}),
+    ("theorem2", QQ, {}),
+    ("prop1", QQ, {"n": 3}),
+    ("prop1", QQ, {"n": 8}),
+    ("prop2", QQ, {"n": 3}),
+    ("prop2", QQ, {"n": 8}),
+    ("lemma1", F5, {}),
+    ("lemma6", F5, {}),
+    ("lemma10", F3, {}),
+    ("lemma11", F5, {"rho": 2}),
+    ("theorem1", F3, {"abg": (1, 1, 0)}),
+    ("theorem1", Field.gf(7), {"abg": (2, 1, 4)}),
+    ("theorem2", F3, {}),
+    ("prop1", F5, {"n": 3}),
+    ("prop2", Field.gf(7), {"n": 5}),
+]
+
+
+def test_witness_json_matches_golden():
+    # each run as "# <name> <field> <options>" and its certificate's JSON
+    parts = []
+    for name, field, options in WITNESS_JSON_RUNS:
+        payload = run_witness(name, field=field, **options).as_dict()
+        parts.append(f"# {name} {field} {options}\n{json.dumps(payload, indent=2)}\n")
+    golden = pathlib.Path(__file__).resolve().parent / "data" / "witness_json.txt"
+    assert "".join(parts).encode() == golden.read_bytes()
 
 
 def test_witness_json_shape():
