@@ -17,7 +17,7 @@ from .errors import (
     FieldMismatchError,
     SearchBudgetExceededError,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _residue
 from .matrices import Matrix, _combination, _insert, _raw, _reduce, _spin, row_rank, solve
 
 
@@ -186,11 +186,7 @@ class Element:
             return Element(self.algebra, [s * a for a in self.coords])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = self.algebra.field.scalar(other)
-            return Element(self.algebra, [s * a for a in self.coords])
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute
 
     def square(self) -> "Element":
         return self * self
@@ -246,22 +242,17 @@ def is_commutative(A: Algebra) -> bool:
 
 
 def find_unit(A: Algebra) -> Element | None:
-    """The two-sided unit, found by solving L_u = R_u = I as a linear system:
-    u R_{e_b} = u e_b and u L_{e_b} = e_b u must both be e_b, for every b;
-    an operator that :func:`_operators` tags b gets right-hand side e_b."""
+    """The two-sided unit, or None: the solution of u R_{e_b} = u e_b = e_b
+    and u L_{e_b} = e_b u = e_b for every operator :func:`_operators` tags b.
+    It leaves out only the L_{e_b} equal to R_{e_b}, so every solution has
+    u e_b = e_b u = e_b for all b: it is the unit, with R_u = L_u = I."""
     field, n = A.field, A.n
     one, zero = field.one, field.zero
     ops = _operators(A.table)
     rows = [[op[i][k] for i in range(n)] for _, op in ops for k in range(n)]
     rhs = [one if b == k else zero for b, _ in ops for k in range(n)]
     sol = solve(field, rows, rhs)
-    if sol is None:
-        return None
-    u = A.element(sol.point)
-    ident = Matrix.identity(field, n)
-    if u.right_mult_matrix() == ident and u.left_mult_matrix() == ident:
-        return u
-    return None
+    return None if sol is None else A.element(sol.point)
 
 
 def is_jordan(A: Algebra) -> bool:
@@ -317,12 +308,10 @@ def _exact_envelope_dimension(A: Algebra) -> int:
 def _residues(A: Algebra, p: int) -> list[list[list[int]]] | None:
     """The structure tensor as raw residues mod p, or None if a denominator
     vanishes mod p.  A gf p tensor comes back as its residues."""
-    if any(c.value.denominator % p == 0 for row in A.table for cell in row for c in cell):
+    tensor = [[[_residue(c.value, p) for c in cell] for cell in row] for row in A.table]
+    if any(None in cell for row in tensor for cell in row):
         return None
-    return [
-        [[c.value.numerator * pow(c.value.denominator, -1, p) % p for c in cell] for cell in row]
-        for row in A.table
-    ]
+    return tensor
 
 
 def _residue_envelope_dimension(tensor, p: int) -> int:
@@ -376,9 +365,13 @@ def is_simple_closure(A: Algebra) -> bool:
     return envelope_dimension(A) == A.n * A.n
 
 
+_IDEAL_MAX_N, _IDEAL_MAX_P = 4, 7  # the largest n and p the ideal search runs for
+
+
 def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     """All proper nonzero ideals of a small prime-field algebra, one
-    reduced-echelon basis each.  Feasible range: n <= 4, p <= 7.
+    reduced-echelon basis each.  Feasible range: n <= _IDEAL_MAX_N,
+    p <= _IDEAL_MAX_P.
 
     The bases are built one row at a time: pivot columns in
     ``itertools.combinations`` order, then the free entries with row 0
@@ -396,7 +389,7 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     p = A.field.p
     if p is None:
         raise SearchBudgetExceededError("exhaustive ideal search needs a finite field")
-    if A.n > 4 or p > 7:
+    if A.n > _IDEAL_MAX_N or p > _IDEAL_MAX_P:
         raise SearchBudgetExceededError(
             f"subspace enumeration infeasible for n = {A.n}, p = {p}"
         )

@@ -6,6 +6,7 @@ Algebra grammar (``#`` starts a comment, blank lines ignored)::
     dim <n>
     names <id> ... <id>     # optional, n labels
     c <i> <j> <k> <value>   # 1-based indices, value int or num/den
+                            # (no decimal or exponent form)
 
 Unspecified tensor entries are zero; duplicate (i, j, k) lines are an
 error.  Matrix files are n lines of n scalar tokens in the same syntax,
@@ -13,8 +14,6 @@ interpreted over a caller-supplied field.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebras import Algebra
 from .errors import DuplicateEntryError, ParseError
@@ -30,7 +29,7 @@ def _strip(line: str) -> str:
 
 def _parse_value(token: str, field: Field, lineno: int | None = None):
     try:
-        return field.scalar(Fraction(token))
+        return field.scalar(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {token!r} ({exc})", lineno) from None
 

@@ -27,7 +27,7 @@ from .errors import (
     NotUnitalError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, solve
+from .matrices import Matrix
 from .records import FrozenRecord
 
 
@@ -120,8 +120,9 @@ def to_canonical_C(A: Algebra, x: Element, y: Element):
     """Read a unital commutative 3-dimensional algebra in the basis
     (1, x, y) for two independent index-2 nil elements x, y.
 
-    Returns (alpha, beta, gamma, S) where S has rows (1, x, y) in the
-    coordinates of A, so S maps canonical coordinates into A.
+    Returns (alpha, beta, gamma, S): the coordinates of xy in the basis
+    S = (1, x, y), whose rows are in the coordinates of A, so S maps
+    canonical coordinates into A.
     """
     if A.n != 3:
         raise DomainError("canonical C form needs dimension 3")
@@ -135,12 +136,9 @@ def to_canonical_C(A: Algebra, x: Element, y: Element):
             raise DomainError(f"{v} is not a nil element of index 2")
     if span_rank([x, y]) != 2:
         raise DependentNilsError("the nil elements are linearly dependent")
-    if span_rank([unit, x, y]) != 3:
-        raise DependentNilsError("the unit lies in the span of the nil elements")
+    # S is invertible: 1 = a x + b y would make x = b xy and y = a xy dependent
     S = Matrix(A.field, [unit.coords, x.coords, y.coords])
-    xy = x * y
-    sol = solve(A.field, [list(r) for r in S.transpose().rows], list(xy.coords))
-    alpha, beta, gamma = sol.point
+    alpha, beta, gamma = S.inverse().apply((x * y).coords)
     return alpha, beta, gamma, S
 
 
@@ -201,28 +199,15 @@ def canonicalize_C(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Canonicalizati
         if beta:
             change = Matrix.diagonal(field, [field.one, beta / alpha, beta.inverse()])
         else:
-            swap = Matrix(
-                field,
-                [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
-            )
+            swap = Matrix(field, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
             cert.check(
                 "swap the two nil basis elements",
                 verify_isomorphism(c_family(field, alpha, gamma, 0), source, swap),
             )
-            change = (
-                Matrix.diagonal(field, [field.one, gamma / alpha, gamma.inverse()])
-                * swap
-            )
+            change = Matrix.diagonal(field, [field.one, gamma / alpha, gamma.inverse()]) * swap
     cert.check(
         "base change to the normal form is an isomorphism",
         verify_isomorphism(target, source, change),
         actual=change,
     )
-    return CanonicalizationResult(
-        certificate=cert,
-        source=source,
-        target=target,
-        kind=kind,
-        params=params,
-        change=change,
-    )
+    return CanonicalizationResult(cert, source, target, kind, params, change)

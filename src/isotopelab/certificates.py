@@ -54,15 +54,10 @@ class Certificate(Record):
     def verdict(self) -> bool:
         return bool(self.steps) and all(s.check for s in self.steps)
 
-    def check(self, description: str, ok: bool, expected=None, actual=None) -> bool:
-        """Record one boolean check."""
+    def check(self, description: str, ok: bool, actual=None) -> bool:
+        """Record one boolean check, with the value it is about if given."""
         self.steps.append(
-            Step(
-                description,
-                bool(ok),
-                None if expected is None else render_value(expected),
-                None if actual is None else render_value(actual),
-            )
+            Step(description, bool(ok), None, None if actual is None else render_value(actual))
         )
         return bool(ok)
 
@@ -74,11 +69,10 @@ class Certificate(Record):
         )
         return bool(ok)
 
-    def merge(self, other: "Certificate", prefix: str | None = None) -> None:
-        """Append another certificate's steps, optionally prefixed."""
-        pre = f"{prefix}: " if prefix else ""
+    def merge(self, other: "Certificate", prefix: str) -> None:
+        """Append another certificate's steps, each prefixed ``prefix: ``."""
         for s in other.steps:
-            self.steps.append(Step(pre + s.description, s.check, s.expected, s.actual))
+            self.steps.append(Step(f"{prefix}: {s.description}", s.check, s.expected, s.actual))
 
     def as_dict(self) -> dict:
         return {

@@ -11,6 +11,8 @@ import argparse
 import sys
 
 from .algebras import (
+    _IDEAL_MAX_N,
+    _IDEAL_MAX_P,
     find_unit,
     ideal_search_exhaustive,
     is_commutative,
@@ -133,7 +135,7 @@ def _cmd_analyze(args) -> int:
     try:
         ideals = ideal_search_exhaustive(A)
     except SearchBudgetExceededError:
-        ideal_note = "skipped (needs gf with n <= 4, p <= 7)"
+        ideal_note = f"skipped (needs gf with n <= {_IDEAL_MAX_N}, p <= {_IDEAL_MAX_P})"
         ideal_list = None
     else:
         ideal_note = "none found" if not ideals else f"found {len(ideals)}"

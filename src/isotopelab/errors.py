@@ -34,7 +34,7 @@ class NotUnitalError(DomainError):
 
 
 class DependentNilsError(DomainError):
-    """The supplied nil elements are linearly dependent (or trap the unit)."""
+    """The supplied nil elements are linearly dependent."""
 
 
 class NonSimpleError(DomainError):

@@ -10,6 +10,7 @@ denominator), prime-field elements as residues in ``[0, p)``.  Characteristic
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import Char2FieldError, DomainError, FieldMismatchError
@@ -28,6 +29,17 @@ def _is_prime(n: int) -> bool:
         f += 2
     return True
 
+
+def _residue(q, p: int) -> int | None:
+    """The residue mod p of an int or Fraction, or None when its denominator
+    vanishes mod p."""
+    den = q.denominator % p
+    if not den:
+        return None
+    return q.numerator * pow(den, -1, p) % p
+
+
+_SCALAR_TEXT = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")  # no decimal or exponent form
 
 # p (None for the rationals) -> its one Field; an invalid p is never stored
 _FIELDS: dict = {}
@@ -67,12 +79,15 @@ class Field(FrozenRecord):
         return cls(p)
 
     def scalar(self, value) -> "Scalar":
-        """Coerce ``value`` (Scalar, int, Fraction, or string like ``-3/2``) into this field."""
+        """Coerce ``value`` (Scalar, int, Fraction, or text ``[-+]digits[/digits]``
+        like ``-3/2``) into this field; other text is a ValueError."""
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise FieldMismatchError(f"scalar over {value.field} used in {self}")
             return value
         if isinstance(value, str):
+            if not _SCALAR_TEXT.fullmatch(value):
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
             value = Fraction(value)
         if isinstance(value, int):
             if self.p is not None:
@@ -82,10 +97,10 @@ class Field(FrozenRecord):
             raise TypeError(f"cannot interpret {value!r} as a field element")
         if self.p is None:
             return Scalar(self, value)
-        den = value.denominator % self.p
-        if den == 0:
+        residue = _residue(value, self.p)
+        if residue is None:
             raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
-        return Scalar(self, value.numerator * pow(den, self.p - 2, self.p) % self.p)
+        return Scalar(self, residue)
 
     @property
     def zero(self) -> "Scalar":
@@ -210,10 +225,8 @@ class Scalar:
             return self.field is other.field and self.value == other.value
         if isinstance(other, (int, Fraction)):
             p = self.field.p
-            if p is not None and other.denominator % p == 0:
-                # not an element of F_p, so equal to none of them
-                return False
-            return self.value == self.field.scalar(other).value
+            # None, for a denominator that vanishes mod p, equals no residue
+            return self.value == (other if p is None else _residue(other, p))
         return NotImplemented
 
     def __hash__(self):

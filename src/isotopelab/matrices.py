@@ -67,10 +67,6 @@ class Matrix:
             raise DimensionMismatchError("vector length does not match matrix size")
         return tuple(_combination(coords, self.rows, self.field.zero))
 
-    def transpose(self) -> "Matrix":
-        n = self.n
-        return Matrix(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
-
     def det(self) -> Scalar:
         # each row, scaled to raw values, loses only multiples of earlier
         # rows, so det is the product of the exact remainders' pivot values

@@ -7,9 +7,8 @@ catalog; the corresponding statements are spelled out in each docstring.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebras import (
+    _IDEAL_MAX_N,
     Algebra,
     _envelope,
     _exact_envelope_dimension,
@@ -31,7 +30,7 @@ from .catalog import (
     to_canonical_C,
 )
 from .certificates import Certificate
-from .errors import DomainError, NilRank3Error, NonSimpleError, ParseError, SearchBudgetExceededError
+from .errors import DomainError, NilRank3Error, ParseError, SearchBudgetExceededError
 from .fields import QQ, Field
 from .isotopes import (
     Isotopy,
@@ -55,9 +54,8 @@ def witness_lemma1(A: Algebra, sigma, tau) -> Certificate:
             f"the scaling factors must be nonzero in {field} (sigma = {sigma}, tau = {tau})"
         )
     cert = Certificate(f"lemma1: homothety isotope (sigma = {s}, tau = {t})")
-    iso = principal_isotope(
-        A, Matrix.scalar_matrix(field, A.n, s), Matrix.scalar_matrix(field, A.n, t)
-    )
+    ms, mt = Matrix.scalar_matrix(field, A.n, s), Matrix.scalar_matrix(field, A.n, t)
+    iso = principal_isotope(A, ms, mt)
     omega = (s * t).inverse()
     cert.expect_equal("omega sigma tau = 1", field.one, omega * s * t)
     cert.check(
@@ -67,14 +65,7 @@ def witness_lemma1(A: Algebra, sigma, tau) -> Certificate:
     )
     cert.check(
         "(sigma 1, tau 1, 1) is an isotopy from the scaled isotope back",
-        verify_isotopy(
-            iso,
-            A,
-            Isotopy.from_isotope(
-                Matrix.scalar_matrix(field, A.n, s),
-                Matrix.scalar_matrix(field, A.n, t),
-            ),
-        ),
+        verify_isotopy(iso, A, Isotopy.from_isotope(ms, mt)),
     )
     cert.artifacts.update(isotope=iso, omega=omega)
     return cert
@@ -141,13 +132,13 @@ def witness_lemma10(field: Field = QQ) -> Certificate:
     iso = standard_isotope(J, rci)
     e = c * c
     cert.expect_equal("e = c^2 = 1 + 2x", J.element((1, 2, 0)), e)
-    cert.expect_equal("the isotope unit is e", iso.element(e.coords), find_unit(iso))
+    ei = iso.element(e.coords)
+    cert.expect_equal("the isotope unit is e", ei, find_unit(iso))
     cert.expect_equal("e maps back to c under R_{1+x}^-1", c, e.apply(rci))
     cert.expect_equal("x is fixed by R_{1+x}^-1", x, x.apply(rci))
     cert.expect_equal("1 + y maps to y under R_{1+x}^-1", y, (one + y).apply(rci))
     ap = iso.element((-2 * x).coords)
     bp = iso.element((field.scalar("-1/2") * (one + y)).coords)
-    ei = iso.element(e.coords)
     cert.check("a' = -2x squares to zero in the isotope", (ap * ap).is_zero)
     cert.check("b' = -(1+y)/2 squares to zero in the isotope", (bp * bp).is_zero)
     cert.expect_equal("a' * b' = e + a'", ei + ap, ap * bp)
@@ -229,14 +220,15 @@ def witness_lemma11(rho, field: Field = QQ) -> Certificate:
         J.element((1 + 2 * gamma, 2 * gamma, 2)),
         e,
     )
-    cert.expect_equal("the isotope unit is e", iso.element(e.coords), find_unit(iso))
+    ei = iso.element(e.coords)
+    cert.expect_equal("the isotope unit is e", ei, find_unit(iso))
     xp = x * c
     yp = y * c
     cert.expect_equal("x' = xc = 1 + x", J.element((1, 1, 0)), xp)
     cert.expect_equal("y' = yc = gamma 1 + y", J.element((gamma, 0, 1)), yp)
     cert.expect_equal("x' maps back to x", x, xp.apply(phi))
     cert.expect_equal("y' maps back to y", y, yp.apply(phi))
-    xpi, ypi, ei = iso.element(xp.coords), iso.element(yp.coords), iso.element(e.coords)
+    xpi, ypi = iso.element(xp.coords), iso.element(yp.coords)
     cert.check("x' squares to zero in the isotope", (xpi * xpi).is_zero)
     cert.check("y' squares to zero in the isotope", (ypi * ypi).is_zero)
     cert.expect_equal(
@@ -284,15 +276,13 @@ def witness_theorem1(alpha, beta, gamma, field: Field = QQ) -> Certificate:
     a = field.scalar(alpha)
     b = field.scalar(beta)
     g = field.scalar(gamma)
-    if not a:
-        raise NonSimpleError("alpha = 0: the span of x and y is a proper ideal")
-    if b * g == -2 * a:
+    canon = canonicalize_C(a, b, g)  # a NonSimpleError for alpha = 0
+    report = nil_rank_exact_C(a, b, g)
+    if report.rank == 3:
         raise NilRank3Error("beta gamma = -2 alpha: the algebra has nil-rank 3")
     cert = Certificate(f"theorem1: C({a}, {b}, {g}) is isotopic to J2")
-    report = nil_rank_exact_C(a, b, g)
+    J = j2(field)
     cert.expect_equal("exact nil-rank is 2", 2, report.rank)
-    source = c_family(field, a, b, g)
-    canon = canonicalize_C(a, b, g)
     cert.merge(canon.certificate, prefix="canonical form")
     to_target = Isotopy.isomorphism(canon.change.inverse())
     if canon.kind == "Crho":
@@ -304,13 +294,13 @@ def witness_theorem1(alpha, beta, gamma, field: Field = QQ) -> Certificate:
         cert.merge(sub, prefix="lemma10")
         chain = to_target.then(sub.artifacts["isotopy"].inverse())
     else:
-        cert.check("the normal form C(1,0,0) equals J2 as a tensor", canon.target == j2(field))
+        cert.check("the normal form C(1,0,0) equals J2 as a tensor", canon.target == J)
         chain = to_target
     cert.check(
         "composed chain is an isotopy from the source to J2",
-        verify_isotopy(source, j2(field), chain),
+        verify_isotopy(canon.source, J, chain),
     )
-    cert.artifacts.update(isotopy=chain, source=source)
+    cert.artifacts.update(isotopy=chain, source=canon.source)
     return cert
 
 
@@ -342,10 +332,10 @@ def witness_theorem2(field: Field = QQ) -> Certificate:
     cert.expect_equal("(y + z) maps to x", x, (y + z).apply(phi))
     cert.expect_equal("(z + x) maps to y", y, (z + x).apply(phi))
     iso = standard_isotope(C, phi)
-    cert.expect_equal("the isotope unit is e", iso.element(e.coords), find_unit(iso))
+    ei = iso.element(e.coords)
+    cert.expect_equal("the isotope unit is e", ei, find_unit(iso))
     a = iso.element((-2 * (y + z)).coords)
     b = iso.element((-2 * (z + x)).coords)
-    ei = iso.element(e.coords)
     cert.check("a = -2(y+z) squares to zero in the isotope", (a * a).is_zero)
     cert.check("b = -2(z+x) squares to zero in the isotope", (b * b).is_zero)
     cert.expect_equal("e + a + b = -2z", iso.element((-2 * z).coords), ei + a + b)
@@ -370,12 +360,16 @@ def witness_theorem2(field: Field = QQ) -> Certificate:
     return cert
 
 
+# prop1 and prop2 run G_n for 2 <= n <= _G_N_MAX
+_G_N_MAX = 8
+
+
 def witness_prop1(n: int, field: Field = QQ) -> Certificate:
     """The (n+1)-dimensional algebra with an n-dimensional
     zero-multiplication subalgebra is simple: its multiplication envelope is
     the full matrix algebra."""
-    if not 2 <= n <= 8:
-        raise SearchBudgetExceededError("feasible range is 2 <= n <= 8")
+    if not 2 <= n <= _G_N_MAX:
+        raise SearchBudgetExceededError(f"feasible range is 2 <= n <= {_G_N_MAX}")
     G = g_n(field, n)
     cert = Certificate(f"prop1: G_{n} is simple")
     dim, prime = _envelope(G)
@@ -387,7 +381,7 @@ def witness_prop1(n: int, field: Field = QQ) -> Certificate:
     )
     # a full envelope forces a nonzero product, so this is the whole criterion
     cert.check("simplicity over the closure (envelope criterion)", dim == (n + 1) ** 2)
-    if n <= 3:
+    if n + 1 <= _IDEAL_MAX_N:  # G_n has dimension n + 1
         ideals = ideal_search_exhaustive(g_n(Field.gf(3), n))
         cert.expect_equal("exhaustive ideal search over gf 3 finds nothing", 0, len(ideals))
     cert.artifacts.update(algebra=G, envelope_dim=dim)
@@ -399,8 +393,8 @@ def witness_prop2(n: int, field: Field = QQ) -> Certificate:
     the standard isotope of G_n by R_e^-1 is unital with unit e^2 and
     contains the n-dimensional zero-multiplication ideal spanned by the
     x_i R_e."""
-    if not 2 <= n <= 8:
-        raise SearchBudgetExceededError("feasible range is 2 <= n <= 8")
+    if not 2 <= n <= _G_N_MAX:
+        raise SearchBudgetExceededError(f"feasible range is 2 <= n <= {_G_N_MAX}")
     G = g_n(field, n)
     cert = Certificate(f"prop2: the R_e^-1 isotope of G_{n} is not simple")
     t = G.basis_element(n)
@@ -477,11 +471,12 @@ def _needs(name: str, option: str) -> DomainError:
 
 def _reduce(field: Field, option: str, value):
     """A given scalar option, a number or its text, as an element of the
-    field: text that is no fraction is a ParseError, and a denominator that
-    vanishes mod p is a DomainError, not a ZeroDivisionError mid-run."""
+    field: text outside :meth:`Field.scalar`'s syntax (read over QQ) is a
+    ParseError, and a denominator that vanishes mod p is a DomainError, not
+    a ZeroDivisionError mid-run."""
     if isinstance(value, str):
         try:
-            value = Fraction(value)
+            value = QQ.scalar(value).value
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad --{option} value {value!r}") from None
     try:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from isotopelab import (
     Algebra,
+    DimensionMismatchError,
     DomainError,
     Field,
+    FieldMismatchError,
     Matrix,
     SearchBudgetExceededError,
     associator,
@@ -83,6 +85,35 @@ def test_mul_requires_same_algebra():
     J, C = j2(QQ), c2(QQ)
     with pytest.raises(DomainError):
         J.basis_element(0) * C.basis_element(0)
+
+
+J_QQ = j2(QQ)
+E0 = J_QQ.basis_element(0)
+INPUT_CHECKS = {
+    "dimension 0": (DimensionMismatchError, lambda: Algebra(QQ, [])),
+    "non-cubic tensor": (DimensionMismatchError, lambda: Algebra(QQ, [[[1, 0]], [[0, 1]]])),
+    "two names in dimension 1": (
+        DimensionMismatchError, lambda: Algebra(QQ, [[[1]]], names=("a", "b"))
+    ),
+    "relabel by a non-permutation": (DomainError, lambda: J_QQ.relabel((0, 0, 1))),
+    "2 coordinates in dimension 3": (DimensionMismatchError, lambda: J_QQ.element((1, 0))),
+    "apply a matrix over gf 5": (FieldMismatchError, lambda: E0.apply(Matrix.identity(F5, 3))),
+    "search across fields": (FieldMismatchError, lambda: isomorphism_search(j2(F3), j2(F5))),
+    "element + int": (TypeError, lambda: E0 + 1),
+    "element - int": (TypeError, lambda: E0 - 1),
+    "element * float": (TypeError, lambda: E0 * 1.5),
+    "float * element": (TypeError, lambda: 1.5 * E0),
+}
+
+
+@pytest.mark.parametrize("error,call", INPUT_CHECKS.values(), ids=list(INPUT_CHECKS))
+def test_input_checks(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_equal_to_no_other_type():
+    assert J_QQ != "J2" and E0 != (1, 0, 0)
 
 
 def test_right_mult_matrix_examples():
@@ -700,6 +731,7 @@ def test_ideal_search_against_flat_subspace_scan(A):
 def test_verify_isomorphism_identity():
     J = j2(QQ)
     assert verify_isomorphism(J, J, Matrix.identity(QQ, 3))
+    assert not verify_isomorphism(J, J, Matrix.identity(QQ, 2))
 
 
 def test_verify_isomorphism_homothety():

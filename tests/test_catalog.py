@@ -6,11 +6,13 @@ import isotopelab.catalog as catalog
 from isotopelab import (
     Algebra,
     DependentNilsError,
+    DimensionMismatchError,
     DomainError,
     Field,
     Matrix,
     NonSimpleError,
     NotUnitalError,
+    SingularMatrixError,
     c2,
     c3,
     c_family,
@@ -65,6 +67,8 @@ def test_jordan_bilinear_gram():
     assert tensor_entry(A, 1, 2) == (0, 0, 0)
     with pytest.raises(DomainError):
         jordan_bilinear(QQ, [[0, 1], [2, 0]])
+    with pytest.raises(DimensionMismatchError):
+        jordan_bilinear(QQ, [[0, 1]])
 
 
 def test_c3_cyclic_table():
@@ -142,9 +146,9 @@ def test_to_canonical_c_errors(monkeypatch):
     with pytest.raises(DomainError, match="needs a commutative algebra"):
         to_canonical_C(N, N.basis_element(1), N.basis_element(2))
     # e = a x + b y with x^2 = y^2 = 0 gives x = b xy and y = a xy, so no
-    # unital algebra has one; a planted unit x + y reaches the check
+    # unital algebra has one; a planted unit x + y makes the basis singular
     monkeypatch.setattr(catalog, "find_unit", lambda A: x + y)
-    with pytest.raises(DependentNilsError, match="unit lies in the span"):
+    with pytest.raises(SingularMatrixError):
         to_canonical_C(J, x, y)
 
 

@@ -142,6 +142,8 @@ def test_witness_n_zero_is_out_of_range(capsys):
     [
         ("lemma11", "--rho", "1/0"),
         ("lemma11", "--rho", "abc"),
+        ("lemma11", "--rho", "1e5000"),
+        ("lemma11", "--rho", "1.5"),
         ("theorem1", "--abg", "2,1/0,4"),
         ("theorem1", "--abg", "2,abc,4"),
         ("lemma1", "--sigma", "abc"),
@@ -226,6 +228,33 @@ def test_rmul_bad_coordinate_names_no_line(capsys):
         "error: ParseError: bad scalar 'x' "
         "(Invalid literal for Fraction: 'x')\n"
     )
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1.5"])
+def test_file_values_are_integers_or_fractions(tmp_path, capsys, value):
+    # Fraction would read 1e5000 as a 5,001-digit integer that str() refuses
+    path = tmp_path / "big.alg"
+    path.write_text(f"field rational\ndim 1\nc 1 1 1 {value}\n")
+    code, out, err = run(capsys, "rmul", str(path), "--elem", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: ParseError: line 3: bad scalar {value!r} "
+        f"(Invalid literal for Fraction: {value!r})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command,option", [("isotope", "--f"), ("express-rmul", "--mat")]
+)
+def test_operator_of_the_wrong_size_exits_2(tmp_path, capsys, command, option):
+    alg, mat = tmp_path / "two.alg", tmp_path / "three.mat"
+    alg.write_text("field rational\ndim 2\n")
+    mat.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    out_args = ["-o", str(tmp_path / "out.alg")] if command == "isotope" else []
+    code, out, err = run(capsys, command, str(alg), option, str(mat), *out_args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DimensionMismatchError: ")
+    assert not (tmp_path / "out.alg").exists()
 
 
 def test_nilrank_command(capsys):

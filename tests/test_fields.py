@@ -1,12 +1,13 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isotopelab import QQ, Char2FieldError, DomainError, Field
+from isotopelab import QQ, Char2FieldError, DomainError, Field, FieldMismatchError
 
 rationals = Field.rationals()
 f5 = Field.gf(5)
@@ -136,6 +137,39 @@ def test_inverse_and_pow():
         f5.zero.inverse()
     r = rationals.scalar(Fraction(2, 7))
     assert r.inverse().value == Fraction(7, 2)
+
+
+INPUT_CHECKS = {
+    "a scalar over gf 5 into QQ": (FieldMismatchError, lambda: QQ.scalar(f5.one)),
+    "a float": (TypeError, lambda: QQ.scalar(0.5)),
+    "decimal text": (ValueError, lambda: QQ.scalar("1.5")),
+    "exponent text": (ValueError, lambda: f5.scalar("1e5000")),
+    "scalar + float": (TypeError, lambda: QQ.one + 1.5),
+    "float - scalar": (TypeError, lambda: 1.5 - QQ.one),
+    "scalar - float": (TypeError, lambda: f5.one - 1.5),
+    "scalar * float": (TypeError, lambda: f5.one * 1.5),
+    "scalar / float": (TypeError, lambda: QQ.one / 1.5),
+    "float / scalar": (TypeError, lambda: 1.5 / QQ.one),
+    "scalar ** float": (TypeError, lambda: QQ.one ** 1.5),
+}
+
+
+@pytest.mark.parametrize("error,call", INPUT_CHECKS.values(), ids=list(INPUT_CHECKS))
+def test_input_checks(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_scalar_equals_no_text_or_float():
+    assert QQ.one != "1" and f5.one != 1.0
+
+
+def test_scalar_text_is_an_integer_or_a_fraction():
+    assert QQ.scalar("-3/6") == Fraction(-1, 2) and QQ.scalar("+7") == 7
+    assert f5.scalar("1/3").value == 2
+    for text in ("1.5", "1e5000", "1_000", " 1", "0x10", "1/2/3", ""):
+        with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {text!r}")):
+            QQ.scalar(text)
 
 
 def test_mixed_field_arithmetic_rejected():

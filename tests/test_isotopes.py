@@ -3,7 +3,9 @@ import random
 import pytest
 
 from isotopelab import (
+    DimensionMismatchError,
     Field,
+    FieldMismatchError,
     Isotopy,
     Matrix,
     SingularMatrixError,
@@ -77,6 +79,27 @@ def test_scaled_isotope_isomorphic_via_homothety():
     )
     omega = QQ.scalar(6).inverse()
     assert verify_isomorphism(J, iso, Matrix.scalar_matrix(QQ, 3, omega))
+
+
+INPUT_CHECKS = {
+    "isotope by an operator over gf 5": (
+        FieldMismatchError,
+        lambda: principal_isotope(j2(QQ), Matrix.identity(F5, 3), Matrix.identity(QQ, 3)),
+    ),
+    "isotope by a 2 x 2 operator": (
+        DimensionMismatchError,
+        lambda: principal_isotope(j2(QQ), Matrix.identity(QQ, 3), Matrix.identity(QQ, 2)),
+    ),
+    "fibre of a 2 x 2 matrix": (
+        DimensionMismatchError, lambda: right_mult_fibre(j2(QQ), Matrix.identity(QQ, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("error,call", INPUT_CHECKS.values(), ids=list(INPUT_CHECKS))
+def test_input_checks(error, call):
+    with pytest.raises(error):
+        call()
 
 
 def test_singular_operator_rejected():

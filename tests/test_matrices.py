@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from isotopelab import (
     DimensionMismatchError,
+    DomainError,
     Field,
     Matrix,
     SingularMatrixError,
@@ -168,6 +169,31 @@ def test_span_tracker_fixes_its_width(field):
     assert tracker.contains([1, 1, 0]) and not tracker.contains([0, 0, 1])
     with pytest.raises(DimensionMismatchError):
         solve(field, [[1, 0], [1]], [0, 0])
+
+
+INPUT_CHECKS = {
+    "ragged rows": (DimensionMismatchError, lambda: Matrix(rationals, [[1, 0], [1]])),
+    "apply to a vector of length 3": (
+        DimensionMismatchError, lambda: Matrix.identity(f5, 2).apply([1, 0, 0])
+    ),
+    "solve with one right-hand side for two rows": (
+        DimensionMismatchError, lambda: solve(rationals, [[1, 0], [0, 1]], [1])
+    ),
+    "solve an empty system": (DomainError, lambda: solve(rationals, [], [])),
+    "random invertible of size 0": (DomainError, lambda: random_invertible(f5, 0, seed=1)),
+    "matrix * int": (TypeError, lambda: Matrix.identity(rationals, 2) * 2),
+}
+
+
+@pytest.mark.parametrize("error,call", INPUT_CHECKS.values(), ids=list(INPUT_CHECKS))
+def test_input_checks(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_matrix_equals_no_row_tuple():
+    m = Matrix.identity(f5, 2)
+    assert m != m.rows and m == Matrix(f5, m.rows)
 
 
 def test_dimension_mismatch_rejected():
