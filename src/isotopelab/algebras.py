@@ -149,15 +149,6 @@ class Element:
         self.algebra = algebra
         self.coords = coords
 
-    @classmethod
-    def _of_scalars(cls, algebra: Algebra, coords: tuple) -> "Element":
-        """An element from a tuple of n Scalars already over the algebra's
-        field, taken as is: no coercion and no length check."""
-        el = object.__new__(cls)
-        el.algebra = algebra
-        el.coords = coords
-        return el
-
     def _check_same(self, other: "Element"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise DomainError("elements belong to different algebras")
@@ -396,7 +387,6 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     n = A.n
     tensor = _residues(A, p)
     operators = [op for _, op in _operators(tensor)]
-    scalars = [Scalar(A.field, r) for r in range(p)]
 
     def images(w):
         return ([c % p for c in _combination(w, op, 0)] for op in operators)
@@ -421,9 +411,7 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
                     for w in basis
                     for op in operators
                 ):
-                    found.append(tuple(
-                        Element._of_scalars(A, tuple([scalars[v] for v in w])) for w in basis
-                    ))
+                    found.append(tuple(Element(A, w) for w in basis))
                 continue
             key = tuple(row)
             spun = spins.get(key)

@@ -17,7 +17,7 @@ Families:
 
 from __future__ import annotations
 
-from .algebras import Algebra, Element, find_unit, is_commutative, span_rank, verify_isomorphism
+from .algebras import Algebra, Element, is_commutative, span_rank, verify_isomorphism
 from .certificates import Certificate
 from .errors import (
     DependentNilsError,
@@ -116,29 +116,30 @@ def catalog_algebras(field: Field) -> dict[str, Algebra]:
     }
 
 
-def to_canonical_C(A: Algebra, x: Element, y: Element):
-    """Read a unital commutative 3-dimensional algebra in the basis
-    (1, x, y) for two independent index-2 nil elements x, y.
+def to_canonical_C(e: Element, x: Element, y: Element):
+    """Read a unital commutative 3-dimensional algebra A = e.algebra in the
+    basis (e, x, y) of its unit e and two independent index-2 nil elements.
 
-    Returns (alpha, beta, gamma, S): the coordinates of xy in the basis
-    S = (1, x, y), whose rows are in the coordinates of A, so S maps
-    canonical coordinates into A.
+    Returns (alpha, beta, gamma, S): xy in the coordinates of the basis
+    S = (e, x, y), whose rows, in A's coordinates, map canonical ones into A.
     """
+    A = e.algebra
     if A.n != 3:
         raise DomainError("canonical C form needs dimension 3")
     if not is_commutative(A):
         raise DomainError("canonical C form needs a commutative algebra")
-    unit = find_unit(A)
-    if unit is None:
-        raise NotUnitalError("the algebra has no unit")
     for v in (x, y):
         if v.is_zero or not v.square().is_zero:
             raise DomainError(f"{v} is not a nil element of index 2")
     if span_rank([x, y]) != 2:
         raise DependentNilsError("the nil elements are linearly dependent")
-    # S is invertible: 1 = a x + b y would make x = b xy and y = a xy dependent
-    S = Matrix(A.field, [unit.coords, x.coords, y.coords])
-    alpha, beta, gamma = S.inverse().apply((x * y).coords)
+    # S is invertible for the unit: e = a x + b y would make x = b xy, y = a xy dependent
+    S = Matrix(A.field, [e.coords, x.coords, y.coords])
+    inverse = S.inverse()
+    # an element fixing a basis of a commutative algebra is its unit
+    if any(e * v != v for v in (e, x, y)):
+        raise NotUnitalError(f"{e} is not the unit of the algebra")
+    alpha, beta, gamma = inverse.apply((x * y).coords)
     return alpha, beta, gamma, S
 
 

@@ -17,16 +17,30 @@ from .errors import Char2FieldError, DomainError, FieldMismatchError
 from .records import FrozenRecord
 
 
+# Miller-Rabin to these 13 bases is exact below psi_13 (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin: with n - 1 = d 2^s, d odd, n passes base
+    b when b^d = 1 or b^(d 2^k) = -1 for some k < s."""
+    if n >= _MR_BOUND:
+        raise DomainError(f"primality is decided only below {_MR_BOUND}, not for {n}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    for b in _MR_BASES:
+        x = pow(b, m >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s - 1):
+            if x == m:
+                break
+            x = x * x % n
+        if x != m:
             return False
-        f += 2
     return True
 
 

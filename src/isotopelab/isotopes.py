@@ -32,9 +32,9 @@ class Isotopy(FrozenRecord):
                 raise FieldMismatchError("isotopy maps over different fields")
             if m.n != phi.n:
                 raise DimensionMismatchError("isotopy maps of different sizes")
-        for m in (phi, psi, xi):
-            if not m.is_invertible():
-                raise SingularMatrixError("isotopy maps must be invertible")
+        # a map given more than once, as in an isomorphism, is checked once
+        if not all(m.is_invertible() for m in {phi, psi, xi}):
+            raise SingularMatrixError("isotopy maps must be invertible")
         self._set(phi, psi, xi)
 
     @classmethod
@@ -77,7 +77,7 @@ def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
         raise FieldMismatchError("operators over a different field")
     if f.n != A.n or g.n != A.n:
         raise DimensionMismatchError("operator size does not match the algebra")
-    if not f.is_invertible() or not g.is_invertible():
+    if not all(m.is_invertible() for m in {f, g}):
         raise SingularMatrixError("isotope operators must be invertible")
     table = [
         [A.mul_coords(f.rows[i], g.rows[j]) for j in range(A.n)] for i in range(A.n)

@@ -137,7 +137,7 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
         cols = list(zip(*lines))  # columnwise: a few long loops, not many short ones
         for c in range(1, p):
             group = sorted(zip(*[[c * v % p for v in col] for col in cols]))
-            # Element._of_scalars inlined: its call per element cost 1-6% of
+            # built in place, not by a helper: a call per element cost 1-6% of
             # this function's time on catalog and G_3..G_5 isotopes mod 5 and
             # 7 (2-vCPU VM), and the benchmark's search-fp op_p50_ms 1.5%
             for coords in zip(*[map(scalar, col) for col in zip(*group)]):

@@ -95,7 +95,7 @@ def test_criterion_3_isotopic_not_isomorphic():
         assert unit is not None and unit.coords == iso.element((1, 2, 0)).coords
         ap = iso.element((0, -2, 0))
         bp = iso.element((QQ.scalar("-1/2"), 0, QQ.scalar("-1/2")))
-        alpha, beta, gamma, change = to_canonical_C(iso, ap, bp)
+        alpha, beta, gamma, change = to_canonical_C(unit, ap, bp)
         assert (alpha, beta, gamma) == (QQ.one, QQ.one, QQ.zero)
         assert verify_isomorphism(c_family(QQ, 1, 1, 0), iso, change)
         assert is_jordan(c_family(QQ, 1, 0, 0))
@@ -146,7 +146,7 @@ def test_criterion_5_theorem2():
         a = iso.element((0, -2, -2))
         b = iso.element((-2, 0, -2))
         assert a * b == -2 * (e + a + b)
-        alpha, beta, gamma, change = to_canonical_C(iso, a, b)
+        alpha, beta, gamma, change = to_canonical_C(e, a, b)
         assert (alpha.value, beta.value, gamma.value) == (-2, -2, -2)
         assert verify_isomorphism(c_rho(QQ, -2), iso, change)
 

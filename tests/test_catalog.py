@@ -2,7 +2,6 @@ import pathlib
 
 import pytest
 
-import isotopelab.catalog as catalog
 from isotopelab import (
     Algebra,
     DependentNilsError,
@@ -109,47 +108,46 @@ def test_gn_needs_n_at_least_2():
 
 def test_to_canonical_c_j2():
     J = j2(QQ)
-    _, x, y = J.basis()
-    alpha, beta, gamma, change = to_canonical_C(J, x, y)
+    one, x, y = J.basis()
+    alpha, beta, gamma, change = to_canonical_C(one, x, y)
     assert (alpha, beta, gamma) == (QQ.one, QQ.zero, QQ.zero)
     assert change == Matrix.identity(QQ, 3)
 
 
 def test_to_canonical_c_rescaled():
     J = j2(QQ)
-    _, x, y = J.basis()
-    alpha, beta, gamma, _ = to_canonical_C(J, 2 * x, y)
+    one, x, y = J.basis()
+    alpha, beta, gamma, _ = to_canonical_C(one, 2 * x, y)
     assert (alpha.value, beta.value, gamma.value) == (2, 0, 0)
 
 
 def test_to_canonical_c_identity_on_crho():
     C = c_rho(QQ, -2)
-    _, x, y = C.basis()
-    alpha, beta, gamma, _ = to_canonical_C(C, x, y)
+    one, x, y = C.basis()
+    alpha, beta, gamma, _ = to_canonical_C(one, x, y)
     assert (alpha.value, beta.value, gamma.value) == (-2, -2, -2)
 
 
-def test_to_canonical_c_errors(monkeypatch):
+def test_to_canonical_c_errors():
     J = j2(QQ)
     one, x, y = J.basis()
     with pytest.raises(DependentNilsError):
-        to_canonical_C(J, x, 3 * x)
+        to_canonical_C(one, x, 3 * x)
+    # S = (a, b, c) is invertible, but a a = b != a: a is not the unit
     with pytest.raises(NotUnitalError):
-        C = c2(QQ)
-        to_canonical_C(C, C.basis_element(1), C.basis_element(2))
+        to_canonical_C(*c2(QQ).basis())
     with pytest.raises(DomainError):
-        to_canonical_C(J, one, y)  # unit is not nil
+        to_canonical_C(one, one, y)  # unit is not nil
     G = g_n(QQ, 3)
     with pytest.raises(DomainError, match="needs dimension 3"):
-        to_canonical_C(G, G.basis_element(0), G.basis_element(1))
+        to_canonical_C(G.basis_element(3), G.basis_element(0), G.basis_element(1))
     N = Algebra.from_products(QQ, 3, {(0, 1): [0, 0, 1]})
     with pytest.raises(DomainError, match="needs a commutative algebra"):
-        to_canonical_C(N, N.basis_element(1), N.basis_element(2))
-    # e = a x + b y with x^2 = y^2 = 0 gives x = b xy and y = a xy, so no
-    # unital algebra has one; a planted unit x + y makes the basis singular
-    monkeypatch.setattr(catalog, "find_unit", lambda A: x + y)
+        to_canonical_C(*N.basis())
+    # no unit is a x + b y, which would give x = b xy and y = a xy, so
+    # dependent nils; a given e = x + y makes the basis singular
     with pytest.raises(SingularMatrixError):
-        to_canonical_C(J, x, y)
+        to_canonical_C(x + y, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -228,6 +229,23 @@ def test_rmul_bad_coordinate_names_no_line(capsys):
         "error: ParseError: bad scalar 'x' "
         "(Invalid literal for Fraction: 'x')\n"
     )
+
+
+def test_a_large_prime_modulus_is_read_quickly(tmp_path, capsys):
+    # trial division spent seconds on each of these primes; each field is
+    # built here first, since a field once built is kept
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "witness", "theorem1", "--abg", "2,1,4", "--gf", "10000000000000061"
+    )
+    assert code == 0 and "verdict: PASS" in out
+    path = tmp_path / "big.alg"
+    path.write_text(ALGEBRAS.joinpath("j2.alg").read_text().replace(
+        "field rational", "field gf 100000000000000003"
+    ))
+    code, out, _ = run(capsys, "rmul", str(path), "--elem", "1,1,0")
+    assert code == 0 and "invertible: yes" in out
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("value", ["1e5000", "1.5"])

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isotopelab import QQ, Char2FieldError, DomainError, Field, FieldMismatchError
+from isotopelab.fields import _MR_BOUND, _is_prime
 
 rationals = Field.rationals()
 f5 = Field.gf(5)
@@ -25,6 +27,44 @@ def test_nonprime_modulus_rejected():
 
 def test_p3_allowed():
     assert Field.gf(3).p == 3
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if _is_prime(n)] == [
+        n for n in range(200_000) if trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to all prime bases up to 7, 23 and 37 in turn
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("n", [10**16 + 61, 2**61 - 1])
+def test_is_prime_accepts_large_primes_quickly(n):
+    # trial division took seconds on 10**16 + 61 and would not end on 2**61 - 1
+    start = time.perf_counter()
+    assert _is_prime(n)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_modulus_at_the_primality_bound_is_a_domain_error():
+    assert _MR_BOUND == 3_317_044_064_679_887_385_961_981  # psi_13
+    for p in (_MR_BOUND, _MR_BOUND + 2):
+        with pytest.raises(DomainError, match=str(_MR_BOUND)):
+            Field(p)
 
 
 def test_one_object_per_field():

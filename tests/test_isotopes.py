@@ -173,6 +173,21 @@ def test_isotopy_requires_invertible_maps():
         Isotopy(singular, ident, ident)
 
 
+def test_a_map_given_twice_is_checked():
+    # each distinct map is checked once, so a repeated one must still count
+    J = j2(QQ)
+    s = Matrix(QQ, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    ident = Matrix.identity(QQ, 3)
+    with pytest.raises(SingularMatrixError):
+        Isotopy(s, s, ident)
+    with pytest.raises(SingularMatrixError):
+        principal_isotope(J, s, s)
+    m = Matrix.diagonal(QQ, [1, 2, QQ.scalar("1/2")])  # x -> 2x, y -> y/2: an automorphism
+    twin = Matrix(m.field, m.rows)  # equal to m, a distinct object
+    assert twin == m and twin is not m
+    assert verify_isotopy(J, J, Isotopy(m, twin, m))
+
+
 # ---------------------------------------------------------------------------
 # r_mult_report
 # ---------------------------------------------------------------------------

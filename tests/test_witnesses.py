@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from isotopelab import (
     DomainError,
     Field,
+    Matrix,
     NilRank3Error,
     NonSimpleError,
     SearchBudgetExceededError,
@@ -23,6 +25,7 @@ from isotopelab import (
     witness_theorem1,
     witness_theorem2,
 )
+from isotopelab.algebras import find_unit
 from isotopelab.witnesses import PIPELINES, WITNESS_NAMES
 
 QQ = Field.rationals()
@@ -219,6 +222,43 @@ def test_prop1(n, dim):
 def test_prop2(n):
     cert = witness_prop2(n)
     assert cert.verdict, failing_steps(cert)
+
+
+# certificate -> (its run, find_unit calls, most Matrix.det calls)
+COUNTED_RUNS = {
+    "lemma1": (lambda: run_witness("lemma1"), 0, 48),
+    "lemma10": (witness_lemma10, 1, 7),
+    "lemma11(3)": (lambda: witness_lemma11(3), 1, 11),
+    "theorem2": (witness_theorem2, 1, 7),
+    "theorem1(2,1,4)": (lambda: witness_theorem1(2, 1, 4), 1, 17),
+    "theorem1(1,1,0)": (lambda: witness_theorem1(1, 1, 0), 1, 13),
+    "prop2(3)": (lambda: witness_prop2(3), 1, 2),
+}
+
+
+@pytest.mark.parametrize("run,units,dets", COUNTED_RUNS.values(), ids=list(COUNTED_RUNS))
+def test_the_unit_is_solved_once_and_each_map_checked_once(monkeypatch, run, units, dets):
+    # the pipeline passes the unit it certified to to_canonical_C, and an
+    # isotopy checks a map given twice once
+    counts = {"find_unit": 0, "det": 0}
+    det = Matrix.det
+
+    def counted_find_unit(A):
+        counts["find_unit"] += 1
+        return find_unit(A)
+
+    def counted_det(self):
+        counts["det"] += 1
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counted_det)
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("isotopelab") and getattr(module, "find_unit", None) is find_unit:
+            monkeypatch.setattr(module, "find_unit", counted_find_unit)
+    assert run().verdict
+    assert counts["find_unit"] == units
+    assert counts["det"] <= dets
 
 
 def test_prop_budget():
