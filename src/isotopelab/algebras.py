@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -17,14 +18,14 @@ from .errors import (
     FieldMismatchError,
     SearchBudgetExceededError,
 )
-from .fields import Field, Scalar, _residue
+from .fields import Field, Scalar
 from .matrices import Matrix, _combination, _insert, _raw, _reduce, _spin, row_rank, solve
 
 
-def _contract(table, u, v, zero) -> list:
-    """Coordinates of u v = sum_{i,j,k} u_i v_j c_ijk e_k.  Works on Scalars,
-    and on raw ints modulo p, which it leaves unreduced."""
-    out = [zero] * len(table)
+def _contract(table, u, v) -> list:
+    """Coordinates of u v = sum_{i,j,k} u_i v_j c_ijk e_k on raw values:
+    integers, or residues mod p, which it leaves unreduced."""
+    out = [0] * len(table)
     for ui, row in zip(u, table):
         if not ui:
             continue
@@ -52,9 +53,14 @@ def _operators(tensor) -> list[tuple[int, list]]:
 
 
 class Algebra:
-    """Structure-constant algebra over an exact field."""
+    """Structure-constant algebra over an exact field.
 
-    __slots__ = ("field", "n", "table", "names")
+    Besides ``table``, the tensor of Scalars, it keeps the same tensor once
+    as raw values, as :func:`~isotopelab.matrices._raw` scales a vector:
+    residues mod p with scale 1, or over QQ the integers D c_ijk with D, the
+    scale, the lcm of all denominators.  Products run on these."""
+
+    __slots__ = ("field", "n", "table", "names", "_tensor", "_scale")
 
     def __init__(self, field: Field, table, names=None):
         tab = tuple(
@@ -72,6 +78,12 @@ class Algebra:
         self.names = tuple(names) if names is not None else None
         if self.names is not None and len(self.names) != n:
             raise DimensionMismatchError("need one name per basis element")
+        # a residue is an int, its own numerator over 1, so gf p gets D = 1
+        vals = [c.value for row in tab for cell in row for c in cell]
+        d = self._scale = lcm(*[v.denominator for v in vals])
+        raw = iter([v.numerator * (d // v.denominator) for v in vals])
+        # zip(*[it] * n) groups an iterator in n-tuples: the cells, then the rows
+        self._tensor = tuple(zip(*[zip(*[raw] * n)] * n))
 
     @classmethod
     def from_products(cls, field: Field, n: int, products: dict, names=None) -> "Algebra":
@@ -99,7 +111,21 @@ class Algebra:
 
     def mul_coords(self, u, v) -> tuple[Scalar, ...]:
         """Coordinates of the product of two row vectors."""
-        return tuple(_contract(self.table, u, v, self.field.zero))
+        ru, su = _raw(self.field, u)
+        rv, sv = _raw(self.field, v)
+        return self._scalars(_contract(self._tensor, ru, rv), su * sv)
+
+    def _scalars(self, vals, scale: int) -> tuple[Scalar, ...]:
+        """Scalars of raw values computed on the stored tensor from vectors
+        whose scales multiply to ``scale``: residues reduced mod p, or over
+        QQ each integer over ``scale`` times D.  Each Scalar is built once,
+        and the zeros share one."""
+        field, p = self.field, self.field.p
+        zero = field.zero
+        if p is not None:
+            return tuple(Scalar(field, r) if (r := x % p) else zero for x in vals)
+        den = scale * self._scale
+        return tuple(Scalar(field, Fraction(x, den)) if x else zero for x in vals)
 
     def relabel(self, perm, names=None) -> "Algebra":
         """Permuted copy: old basis element i becomes new basis element perm[i]."""
@@ -128,10 +154,12 @@ class Algebra:
     def __eq__(self, other):
         if not isinstance(other, Algebra):
             return NotImplemented
-        return self.field is other.field and self.n == other.n and self.table == other.table
+        # the raw tensor and its scale determine the table
+        return (self.field is other.field and self._scale == other._scale
+                and self._tensor == other._tensor)
 
     def __hash__(self):
-        return hash((self.field, self.table))
+        return hash((self.field, self._scale, self._tensor))
 
     def __repr__(self) -> str:
         return f"Algebra(dim {self.n} over {self.field})"
@@ -191,14 +219,15 @@ class Element:
     def right_mult_matrix(self) -> Matrix:
         """Matrix of x -> x * self; row i is e_i * self = sum_j v_j c_ij."""
         A = self.algebra
-        zero = A.field.zero
-        return Matrix(A.field, [_combination(self.coords, A.table[i], zero) for i in range(A.n)])
+        v, scale = _raw(A.field, self.coords)
+        return Matrix(A.field, [A._scalars(_combination(v, row, 0), scale) for row in A._tensor])
 
     def left_mult_matrix(self) -> Matrix:
         """Matrix of x -> self * x; row i is self * e_i = sum_j v_j c_ji."""
         A = self.algebra
-        zero = A.field.zero
-        return Matrix(A.field, [_combination(self.coords, col, zero) for col in zip(*A.table)])
+        v, scale = _raw(A.field, self.coords)
+        return Matrix(A.field, [A._scalars(_combination(v, col, 0), scale)
+                                for col in zip(*A._tensor)])
 
     @property
     def is_zero(self) -> bool:
@@ -227,7 +256,7 @@ def associator(u: Element, v: Element, w: Element) -> Element:
 def is_commutative(A: Algebra) -> bool:
     for i in range(A.n):
         for j in range(i + 1, A.n):
-            if A.table[i][j] != A.table[j][i]:
+            if A._tensor[i][j] != A._tensor[j][i]:
                 return False
     return True
 
@@ -255,20 +284,22 @@ def is_jordan(A: Algebra) -> bool:
     ((e_b e_c) e_m) e_a - (e_b e_c)(e_m e_a) over the distinct orderings
     (a, b, c) of one multiset of basis indices.  Over an infinite field the
     identity holds iff every coefficient vanishes, in every characteristic.
+    Each coefficient is summed on the raw tensor, where both of its products
+    carry the scale D^3, and tested as an integer, or mod p over gf p.
     """
     if not is_commutative(A):
         raise DomainError("Jordan check requires a commutative algebra")
-    n, table, mul, zero = A.n, A.table, A.mul_coords, A.field.zero
-    units = [A.basis_element(i).coords for i in range(n)]
+    n, t, p = A.n, A._tensor, A.field.p
+    units = [[int(i == m) for i in range(n)] for m in range(n)]
     for idx in itertools.combinations_with_replacement(range(n), 3):
         orders = set(itertools.permutations(idx))
         for m in range(n):
-            total = [zero] * n
+            total = [0] * n
             for a, b, c in orders:
-                lhs = mul(mul(table[b][c], units[m]), units[a])
-                rhs = mul(table[b][c], table[m][a])
-                total = [t + u - v for t, u, v in zip(total, lhs, rhs)]
-            if any(total):
+                lhs = _contract(t, _contract(t, t[b][c], units[m]), units[a])
+                rhs = _contract(t, t[b][c], t[m][a])
+                total = [s + u - v for s, u, v in zip(total, lhs, rhs)]
+            if any(total if p is None else [x % p for x in total]):
                 return False
     return True
 
@@ -296,13 +327,17 @@ def _exact_envelope_dimension(A: Algebra) -> int:
     return len(_spin([integral(g) for g in gens], images, n * n)[0])
 
 
-def _residues(A: Algebra, p: int) -> list[list[list[int]]] | None:
-    """The structure tensor as raw residues mod p, or None if a denominator
-    vanishes mod p.  A gf p tensor comes back as its residues."""
-    tensor = [[[_residue(c.value, p) for c in cell] for cell in row] for row in A.table]
-    if any(None in cell for row in tensor for cell in row):
+def _residues(A: Algebra, p: int) -> tuple | None:
+    """The structure tensor as raw residues mod p, read off the stored raw
+    tensor: a gf p algebra's own (p must be its prime), or D c_ijk times
+    D^-1 mod p, which is None exactly when p divides D, that is, when p
+    divides a denominator."""
+    if A.field.p is not None:
+        return A._tensor
+    if not A._scale % p:
         return None
-    return tensor
+    inv = pow(A._scale, -1, p)
+    return tuple(tuple(tuple(c * inv % p for c in cell) for cell in row) for row in A._tensor)
 
 
 def _residue_envelope_dimension(tensor, p: int) -> int:
@@ -559,7 +594,7 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
             rows = xi + [x]
             return [
                 a - b
-                for a, b in zip(_contract(tb, rows[i], rows[j], 0), _combination(ta[i][j], rows, 0))
+                for a, b in zip(_contract(tb, rows[i], rows[j]), _combination(ta[i][j], rows, 0))
             ]
 
         if (i, j) == (r, r):

@@ -105,7 +105,7 @@ def _nil_lines(tensor, p: int):
         for outer in itertools.product(range(p), repeat=k - lead - 1):
             prefix = (0,) * lead + (1,) + outer
             y = prefix + (0, 0)
-            sq = _contract(tensor, y, y, 0)
+            sq = _contract(tensor, y, y)
             lin = _combination(y, cross, 0)
             diff, lin = list(map(add, lin, sq_k)), lin[n:]
             for s in range(p):

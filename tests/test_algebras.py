@@ -36,6 +36,7 @@ from isotopelab import (
 )
 from isotopelab.algebras import ENVELOPE_PRIME, _envelope, _operators, _residues, _unit_mod
 from isotopelab.algfile import parse_algebra_file
+from isotopelab.fields import _residue
 from isotopelab.matrices import random_invertible, row_rank
 
 QQ = Field.rationals()
@@ -174,12 +175,20 @@ def noncommutative_tensors(draw):
     return field, c, draw(vectors), draw(vectors)
 
 
+HALF, THIRD, M57 = Fraction(1, 2), Fraction(1, 3), Fraction(-5, 7)
+
+
 @given(noncommutative_tensors())
+# coprime denominators in the tensor and in both vectors
+@example((QQ, [[[HALF, THIRD], [M57, 0]], [[0, 1], [THIRD, M57]]], [THIRD, M57], [HALF, THIRD]))
+# 2/3 * 3 * 1/2: the denominators of the product cancel to the integer 1
+@example((QQ, [[[HALF, 0], [0, 0]], [[0, 1], [0, 0]]], [2 * THIRD, 0], [3, 0]))
 def test_noncommutative_products_against_triple_sum(case):
     field, c, u, v = case
     A = Algebra(field, c)
     n = A.n
-    got = [s.value for s in A.mul_coords(A.element(u).coords, A.element(v).coords)]
+    product = A.mul_coords(A.element(u).coords, A.element(v).coords)
+    got = [s.value for s in product]
     assert got == _values(field, _triple_sum(c, u, v))
     # a scalar on either side of either factor scales the product
     x, y = A.element(u), A.element(v)
@@ -193,6 +202,10 @@ def test_noncommutative_products_against_triple_sum(case):
     for i, e in enumerate(units):
         assert [s.value for s in rv.rows[i]] == _values(field, _triple_sum(c, e, v))
         assert [s.value for s in lv.rows[i]] == _values(field, _triple_sum(c, v, e))
+    if field.p is None:
+        # an integral coordinate is still a Fraction, as every QQ Scalar is
+        out = list(product) + [s for m in (rv, lv) for row in m.rows for s in row]
+        assert all(type(s.value) is Fraction for s in out)
     if field.p:
         p = field.p
         expected = [
@@ -201,6 +214,34 @@ def test_noncommutative_products_against_triple_sum(case):
             if any(vec) and not any(x % p for x in _triple_sum(c, vec, vec))
         ]
         assert [coords(e) for e in nil_set_bruteforce(A)] == expected
+
+
+def test_equal_algebras_from_different_inputs():
+    ints = [[[1, 0, 2], [0, 3, 0], [4, 0, 0]], [[0, 3, 0], [1, 1, 0], [0, 0, 2]],
+            [[4, 0, 0], [0, 0, 2], [2, 0, 1]]]
+
+    def entrywise(f):
+        return [[[f(x) for x in cell] for cell in row] for row in ints]
+
+    halves = entrywise(lambda x: Fraction(x, 2))
+    pairs = [
+        # equal over QQ: the values as ints and as Fractions in other terms,
+        # and halved, as Fractions and as text
+        (Algebra(QQ, ints), Algebra(QQ, entrywise(lambda x: Fraction(2 * x, 2)))),
+        (Algebra(QQ, halves), Algebra(QQ, entrywise(lambda x: f"{x}/2"))),
+        # equal over gf 5: x + 5/7 is x mod 5
+        (Algebra(F5, ints), Algebra(F5, entrywise(lambda x: Fraction(7 * x + 5, 7)))),
+    ]
+    vectors = [(1, 0, 0), (THIRD, -2, -M57), (0, -HALF, 4)]
+    for A, B in pairs:
+        assert A is not B and A._tensor == B._tensor and A._scale == B._scale
+        assert A == B and hash(A) == hash(B)
+        for u, v in itertools.product(vectors, repeat=2):
+            u, v = A.element(u).coords, A.element(v).coords
+            assert A.mul_coords(u, v) == B.mul_coords(u, v)
+    # the raw integers of halves and of ints agree; only the scale tells them apart
+    assert Algebra(QQ, halves)._tensor == Algebra(QQ, ints)._tensor
+    assert Algebra(QQ, halves) != Algebra(QQ, ints)
 
 
 def _expected_operators(A):
@@ -854,6 +895,21 @@ def test_unit_mod_matches_find_unit():
             for B in [A] + [transported(A, random_invertible(F, A.n, seed)) for seed in range(3)]:
                 u = find_unit(B)
                 assert _unit_mod(_residues(B, p), p) == (None if u is None else coords(u))
+
+
+@pytest.mark.parametrize("den", [1, 3, 5, 9])
+@pytest.mark.parametrize("p", [3, 5, 7, ENVELOPE_PRIME])
+def test_residues_match_entrywise_reduction(den, p):
+    rng = random.Random(den * p)
+    c = [[[Fraction(rng.randint(-20, 20), rng.choice((1, den))) for _ in range(3)]
+          for _ in range(3)] for _ in range(3)]
+    c[0][0][0] = Fraction(1, den)  # den divides the lcm of the denominators
+    got = _residues(Algebra(QQ, c), p)
+    expected = [[[_residue(x, p) for x in cell] for cell in row] for row in c]
+    if any(None in cell for row in expected for cell in row):
+        assert got is None and den % p == 0
+    else:
+        assert [[list(cell) for cell in row] for row in got] == expected
 
 
 def test_isomorphism_search_dense_source():
