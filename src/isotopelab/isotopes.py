@@ -20,6 +20,18 @@ from .matrices import Matrix, SolveResult, solve
 from .records import FrozenRecord
 
 
+def _once(fn, *calls) -> list:
+    """``fn(*c)`` for each argument tuple c, computed once per tuple of the
+    same objects: a map given twice is checked, inverted or multiplied once.
+    Told apart by identity, as hashing a Matrix would hash every Scalar."""
+    done = {}
+    for c in calls:
+        key = tuple(map(id, c))
+        if key not in done:
+            done[key] = fn(*c)
+    return [done[tuple(map(id, c))] for c in calls]
+
+
 class Isotopy(FrozenRecord):
     """Triple of invertible linear maps; verified against a pair of algebras
     with :func:`verify_isotopy`."""
@@ -33,7 +45,7 @@ class Isotopy(FrozenRecord):
             if m.n != phi.n:
                 raise DimensionMismatchError("isotopy maps of different sizes")
         # a map given more than once, as in an isomorphism, is checked once
-        if not all(m.is_invertible() for m in {phi, psi, xi}):
+        if not all(_once(Matrix.is_invertible, (phi,), (psi,), (xi,))):
             raise SingularMatrixError("isotopy maps must be invertible")
         self._set(phi, psi, xi)
 
@@ -46,7 +58,7 @@ class Isotopy(FrozenRecord):
     def into_isotope(cls, f: Matrix, g: Matrix) -> "Isotopy":
         """The canonical isotopy A -> A^(f, g), namely (f^-1, g^-1, 1)."""
         ident = Matrix.identity(f.field, f.n)
-        return cls(f.inverse(), g.inverse(), ident)
+        return cls(*_once(Matrix.inverse, (f,), (g,)), ident)
 
     @classmethod
     def from_isotope(cls, f: Matrix, g: Matrix) -> "Isotopy":
@@ -55,11 +67,12 @@ class Isotopy(FrozenRecord):
         return cls(f, g, ident)
 
     def inverse(self) -> "Isotopy":
-        return Isotopy(self.phi.inverse(), self.psi.inverse(), self.xi.inverse())
+        return Isotopy(*_once(Matrix.inverse, (self.phi,), (self.psi,), (self.xi,)))
 
     def then(self, other: "Isotopy") -> "Isotopy":
         """Composition: this isotopy A -> B followed by ``other`` B -> C."""
-        return Isotopy(self.phi * other.phi, self.psi * other.psi, self.xi * other.xi)
+        return Isotopy(*_once(Matrix.__mul__, *zip((self.phi, self.psi, self.xi),
+                                                   (other.phi, other.psi, other.xi))))
 
 
 class RMultReport(FrozenRecord):
@@ -77,7 +90,7 @@ def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
         raise FieldMismatchError("operators over a different field")
     if f.n != A.n or g.n != A.n:
         raise DimensionMismatchError("operator size does not match the algebra")
-    if not all(m.is_invertible() for m in {f, g}):
+    if not all(_once(Matrix.is_invertible, (f,), (g,))):
         raise SingularMatrixError("isotope operators must be invertible")
     table = [
         [A.mul_coords(f.rows[i], g.rows[j]) for j in range(A.n)] for i in range(A.n)

@@ -209,11 +209,13 @@ def _combination(coeffs, rows, zero) -> list:
 def _raw(field: Field, vec) -> tuple[list[int], int]:
     """``vec`` as raw values and the factor it was scaled by: residues mod p
     and 1, or over QQ the integers d vec and d, the lcm of the denominators."""
-    vals = [field.scalar(v).value for v in vec]
+    vals = [v.value if v.__class__ is Scalar and v.field is field else field.scalar(v).value
+            for v in vec]
     if field.p is not None:
         return vals, 1
-    d = lcm(*[v.denominator for v in vals])
-    return [v.numerator * (d // v.denominator) for v in vals], d
+    nums, dens = zip(*[v.as_integer_ratio() for v in vals])
+    d = lcm(*dens)
+    return [a * (d // b) for a, b in zip(nums, dens)], d
 
 
 def _reduce(vec: list, rows: list[list], pivots: list[int], p: int | None = None):

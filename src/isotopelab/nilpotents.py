@@ -9,10 +9,11 @@ exists iff beta gamma = -2 alpha (alpha != 0), with witness
 field, with a closure caveat: its points can miss nil elements that only
 appear over the algebraic closure.  Since (c v)^2 = c^2 v^2, it scans the
 leading-1 point of each line through the origin, y + s e_k + t e_last
-(k = n - 2, y_k = y_last = 0), stepping s by forward differences and
-taking t from the roots of a quadratic mod p (see ``_nil_lines``).  The
-rank pass tests only these points, against the annihilator of the span so
-far: a multiple c v is in a span iff v is, and v comes first.
+(k = n - 2, y_k = y_last = 0), and per prefix y solves the equations
+h . v^2 = 0, linear in (s, t), of each h in the annihilator of e_k^2,
+e_k e_last + e_last e_k and e_last^2 (see ``_nil_lines``).  The rank pass
+tests only these points, against the annihilator of the span so far: a
+multiple c v is in a span iff v is, and v comes first.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Field, Scalar, _is_prime
-from .matrices import _combination
+from .matrices import _combination, _insert
 from .records import FrozenRecord
 
 BRUTE_FORCE_BUDGET = 10**6
@@ -60,9 +61,23 @@ def is_nil_index2(a: Element) -> bool:
     return not a.is_zero and a.square().is_zero
 
 
+def _annihilate(ann: list, vec, p: int) -> list:
+    """A basis of the h in the span of the rows ``ann`` with h . vec = 0 mod
+    p: ``ann`` itself when every row has it already, else one row fewer."""
+    dots = [sum(map(mul, h, vec)) % p for h in ann]
+    if not any(dots):
+        return ann
+    i = next(i for i, d in enumerate(dots) if d)
+    # rows before i have h . vec = 0; clear it from the later ones with row i
+    h0, inv = ann[i], pow(dots[i], -1, p)
+    return ann[:i] + [[(u - d * inv * v) % p for u, v in zip(h, h0)]
+                      for h, d in zip(ann[i + 1:], dots[i + 1:])]
+
+
 def _roots(sq, lin, quad, p, root):
     """The t in 0..p-1, ascending, with sq + t lin + t^2 quad = 0 mod p in
-    every coordinate; ``root`` maps each square residue to a square root."""
+    every coordinate; ``quad`` must be reduced mod p, and ``root`` maps each
+    square residue to a square root."""
     for a, b, c in zip(sq, lin, quad):
         a, b = a % p, b % p
         if c:
@@ -82,12 +97,17 @@ def _roots(sq, lin, quad, p, root):
 
 def _nil_lines(tensor, p: int):
     """For lead = n-1 down to 0, the nil points whose first nonzero
-    coordinate is a 1 at ``lead``, in lexicographic order.  The point
-    y + s e_k + t e_last squares to S + t B + t^2 e_last^2, S = (y + s e_k)^2
-    and B = (y + s e_k) e_last + e_last (y + s e_k).  One contraction and one
-    combination per y give S, B and D = S(1) - S(0); each further s costs
-    three vector additions, and t runs over the roots of the first
-    coordinate's quadratic that is not identically 0, checked on all."""
+    coordinate is a 1 at ``lead``, not sorted (``nil_set_bruteforce``
+    sorts each block).  Below lead k = n - 2, v = y + s e_k + t e_l
+    (l = n - 1) squares to Y + s U + t W + s^2 e_k^2 + s t C + t^2 e_l^2
+    (Y = y^2, U = y e_k + e_k y, W = y e_l + e_l y, C = e_k e_l + e_l e_k):
+    one contraction and one combination per prefix y.  Each h in H, the
+    annihilator of e_k^2, C and e_l^2, gives h . Y + s h . U + t h . W = 0.
+    Reduced by ``_insert``, these are inconsistent (no point), or have two
+    pivots (one candidate), one pivot (v^2 along the line of solutions is
+    one quadratic) or none (as when H = 0: for each s, by forward
+    differences, the quadratic in t).  Every nil point solves them; every
+    candidate and root is checked on all n coordinates."""
     n = len(tensor)
     last, k = n - 1, n - 2
     quad = tensor[last][last]
@@ -98,8 +118,11 @@ def _nil_lines(tensor, p: int):
     # row i: e_i e_k + e_k e_i, then e_i e_last + e_last e_i
     cross = [[u + v for u, v in zip(tensor[i][k] + tensor[i][last], tensor[k][i] + tensor[last][i])]
              for i in range(n)]
-    sq_k, step_b, step_d = tensor[k][k], cross[k][n:], [2 * c for c in tensor[k][k]]
-    yield [(0,) * k + (1, t) for t in _roots(sq_k, step_b, quad, p, root)]
+    sq_k, mixed, step_d = tensor[k][k], cross[k][n:], [2 * c for c in tensor[k][k]]
+    yield [(0,) * k + (1, t) for t in _roots(sq_k, mixed, quad, p, root)]
+    ann = [[int(i == j) for j in range(n)] for i in range(n)]
+    for vec in (sq_k, mixed, quad):
+        ann = _annihilate(ann, vec, p)
     for lead in reversed(range(k)):
         lines = []
         for outer in itertools.product(range(p), repeat=k - lead - 1):
@@ -107,12 +130,40 @@ def _nil_lines(tensor, p: int):
             y = prefix + (0, 0)
             sq = _contract(tensor, y, y)
             lin = _combination(y, cross, 0)
-            diff, lin = list(map(add, lin, sq_k)), lin[n:]
-            for s in range(p):
-                lines.extend(prefix + (s, t) for t in _roots(sq, lin, quad, p, root))
-                sq = list(map(add, sq, diff))  # S += D
-                diff = list(map(add, diff, step_d))  # D += 2 e_k^2
-                lin = list(map(add, lin, step_b))  # B += e_k e_last + e_last e_k
+            u, w = lin[:n], lin[n:]
+            rows, pivots = [], []
+            for h in ann:
+                _insert([sum(map(mul, h, x)) % p for x in (u, w, sq)], rows, pivots, p)
+            # pivot -> equation: s + b t + c = 0 at 0, t + c = 0 at 1, 1 = 0 at 2
+            eqs = dict(zip(pivots, rows))
+            if 2 in eqs:
+                continue
+            if not eqs:
+                # at each s: sq = (y + s e_k)^2, diff = its step to s + 1, w = W + s C
+                diff = list(map(add, u, sq_k))
+                for s in range(p):
+                    lines.extend(prefix + (s, t) for t in _roots(sq, w, quad, p, root))
+                    sq = list(map(add, sq, diff))
+                    diff = list(map(add, diff, step_d))
+                    w = list(map(add, w, mixed))
+                continue
+            # one coordinate is bound = b0 + a free (s = -c - b t, or t = -c):
+            # along that line v^2 = c0 + free c1 + free^2 c2
+            if 0 in eqs:
+                b0, a, bv, fv, bq, fq = -eqs[0][2], -eqs[0][1], u, w, sq_k, quad
+            else:
+                b0, a, bv, fv, bq, fq = -eqs[1][2], 0, w, u, quad, sq_k
+            c0 = [y2 + b0 * (x + b0 * q) for y2, x, q in zip(sq, bv, bq)]
+            c1 = [f + a * (x + 2 * b0 * q) + b0 * m for f, x, q, m in zip(fv, bv, bq, mixed)]
+            c2 = [(q + a * (m + a * r)) % p for q, m, r in zip(fq, mixed, bq)]
+            if len(eqs) == 2:  # the one candidate, t = -c, checked on all coordinates
+                t = -eqs[1][2] % p
+                nil = not any([(x0 + t * (x1 + t * x2)) % p for x0, x1, x2 in zip(c0, c1, c2)])
+                free = (t,) if nil else ()
+            else:
+                free = _roots(c0, c1, c2, p, root)
+            lines.extend(prefix + ((b0 + a * f) % p, f) if 0 in eqs else prefix + (f, b0 % p)
+                         for f in free)
         yield lines
 
 
@@ -166,14 +217,10 @@ def nil_rank_bruteforce(A: Algebra) -> NilReport:
                 break
         if s.value != 1:
             continue
-        vec = [s.value for s in el.coords]
-        dots = [sum(map(mul, h, vec)) % p for h in ann]
-        i = next((i for i, d in enumerate(dots) if d), None)
-        if i is not None:
+        rest = _annihilate(ann, [s.value for s in el.coords], p)
+        if len(rest) < len(ann):
             witnesses.append(el)
-            # clear h . vec from the other rows with row i: the new span's basis
-            h0, inv = ann.pop(i), pow(dots.pop(i), -1, p)
-            ann = [[(u - d * inv * v) % p for u, v in zip(h, h0)] for h, d in zip(ann, dots)]
+            ann = rest
             if not ann:
                 break
     return NilReport(len(witnesses), tuple(witnesses), METHOD_BRUTE_FP, closure_caveat=True)

@@ -100,6 +100,9 @@ INPUT_CHECKS = {
     "2 coordinates in dimension 3": (DimensionMismatchError, lambda: J_QQ.element((1, 0))),
     "apply a matrix over gf 5": (FieldMismatchError, lambda: E0.apply(Matrix.identity(F5, 3))),
     "search across fields": (FieldMismatchError, lambda: isomorphism_search(j2(F3), j2(F5))),
+    "coordinates over gf 5 in a product": (
+        FieldMismatchError, lambda: J_QQ.mul_coords([F5.one] * 3, [1, 0, 0])
+    ),
     "element + int": (TypeError, lambda: E0 + 1),
     "element - int": (TypeError, lambda: E0 - 1),
     "element * float": (TypeError, lambda: E0 * 1.5),

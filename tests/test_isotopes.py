@@ -188,6 +188,18 @@ def test_a_map_given_twice_is_checked():
     assert verify_isotopy(J, J, Isotopy(m, twin, m))
 
 
+def test_a_shared_map_stays_one_object():
+    # the inverse, composite or isotope inverse of a map given twice is
+    # computed once, so the result shares it and checks it once
+    m = Matrix.diagonal(QQ, [1, 2, 3])
+    iso = Isotopy.isomorphism(m)
+    for lam in (iso.inverse(), iso.then(iso), Isotopy.into_isotope(m, m)):
+        assert lam.phi is lam.psi
+    inv = iso.inverse()
+    assert inv.xi is inv.phi
+    assert inv.phi == Matrix.diagonal(QQ, [1, QQ.scalar("1/2"), QQ.scalar("1/3")])
+
+
 # ---------------------------------------------------------------------------
 # r_mult_report
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -24,15 +25,19 @@ from isotopelab import (
     nil_rank_bruteforce,
     nil_rank_exact_C,
     nil_set_bruteforce,
+    random_invertible,
     span_rank,
+    standard_isotope,
 )
 from isotopelab import nilpotents
+from isotopelab.algfile import parse_algebra_file
 from isotopelab.nilpotents import BRUTE_FORCE_BUDGET
 
 QQ = Field.rationals()
 F3 = Field.gf(3)
 F5 = Field.gf(5)
 F7 = Field.gf(7)
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def coords(el):
@@ -277,12 +282,23 @@ def _scan_oracle(table, p):
     return nils, witnesses
 
 
+def _values(A):
+    return [[[c.value for c in cell] for cell in row] for row in A.table]
+
+
+# G4^(f, g) mod 5, n = 5: its prefixes reach two pivots, one pivot on s and
+# one on t; G5^(f, f) mod 3, n = 6: one pivot on every prefix, whole nil lines
+G4_ISOTOPE_GF5 = _values(parse_algebra_file(DATA / "g4_gf5_isotope.alg"))
+G5_ISOTOPE_GF3 = _values(standard_isotope(g_n(F3, 5), random_invertible(F3, 6, 0)))
+E0_SQUARED_E2 = [[[0, 0, 1, 0]] + [[0] * 4] * 3] + [[[0] * 4] * 4] * 3
+
+
 @st.composite
 def small_tensors(draw):
-    """(p, table) over gf 3/5/7, n = 1..4, biased to zero entries so that
-    nil elements are common; commutative or not."""
+    """(p, table) over gf 3/5/7, n = 1..4 (n = 5 over gf 3), biased to zero
+    entries so that nil elements are common; commutative or not."""
     p = draw(st.sampled_from([3, 5, 7]))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5 if p == 3 else 4))
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
     table = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
@@ -314,6 +330,31 @@ def small_tensors(draw):
               [[6, 6, 6, 2], [3, 2, 6, 1], [0, 0, 5, 6], [6, 1, 2, 4]],
               [[3, 6, 5, 3], [0, 0, 5, 6], [2, 6, 3, 6], [1, 4, 4, 6]],
               [[3, 0, 1, 4], [6, 1, 2, 4], [1, 4, 4, 6], [2, 2, 0, 1]]]))
+@example((5, G4_ISOTOPE_GF5))
+@example((3, G5_ISOTOPE_GF3))
+# Below, n = 4 over gf 5: v = (a, b, s, t), so k = 2 and l = 3, the prefixes
+# are y = e0 + b e1 and e1, and H is the h with h . e2^2 = 0,
+# h . (e2 e3 + e3 e2) = 0 and h . e3^2 = 0.
+# e0^2 = e2: at y = e0 + b e1, h = e2 reads 0 s + 0 t + 1 = 0, inconsistent
+@example((5, E0_SQUARED_E2))
+# v^2 = (3 a^2 + 4 a t + 4 b s) e0 + s^2 e3: h = e0 gives one pivot on s,
+# s = -(3 + 4 t) / (4 b) for b != 0, and s^2 = 0 leaves t = 3 only
+@example((5, [[[3, 0, 0, 0], [0] * 4, [0] * 4, [2, 0, 0, 0]],
+              [[0] * 4, [0] * 4, [2, 0, 0, 0], [0] * 4],
+              [[0] * 4, [2, 0, 0, 0], [0, 0, 0, 1], [0] * 4],
+              [[2, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4]]))
+# v^2 = (b^2 + b t + 3 s^2) e0 + s^2 e1: h = e0 + 2 e1 gives one pivot on t,
+# t = -b, and then s = 0
+@example((5, [[[0] * 4] * 4,
+              [[0] * 4, [1, 0, 0, 0], [0] * 4, [3, 0, 0, 0]],
+              [[0] * 4, [0] * 4, [3, 1, 0, 0], [0] * 4],
+              [[0] * 4, [3, 0, 0, 0], [0] * 4, [0] * 4]]))
+# noncommutative; h = e0 and e1 give two pivots: on some prefixes the one
+# candidate is nil, on others the check on all coordinates rejects it
+@example((5, [[[0] * 4, [0, 4, 0, 0], [0, 3, 0, 0], [0] * 4],
+              [[0] * 4, [0] * 4, [3, 0, 0, 0], [0] * 4],
+              [[0] * 4, [0] * 4, [3, 0, 0, 0], [0] * 4],
+              [[0, 0, 2, 0], [0] * 4, [0] * 4, [0] * 4]]))
 @given(small_tensors())
 def test_nil_scan_matches_full_point_scan(case):
     p, table = case
@@ -327,6 +368,25 @@ def test_nil_scan_matches_full_point_scan(case):
     report = nil_rank_bruteforce(A)
     assert report.rank == len(witnesses)
     assert tuple(coords(w) for w in report.witnesses) == tuple(witnesses)
+
+
+def test_nil_scan_solves_one_quadratic_per_prefix(monkeypatch):
+    # the h-equations leave each prefix y one quadratic at most, where
+    # stepping s through F_p takes p of them
+    calls = []
+    roots = nilpotents._roots
+    monkeypatch.setattr(nilpotents, "_roots", lambda *args: calls.append(args) or roots(*args))
+    A = Algebra(F5, G4_ISOTOPE_GF5)
+    p, n = 5, 5
+    assert nil_rank_bruteforce(A).rank == 3  # as in nilrank_cli.txt
+    prefixes = sum(p**j for j in range(n - 2))  # leads 0..n-3
+    # plus one for the fixed block e_(n-2) + t e_(n-1); e_(n-1) takes none
+    assert 0 < len(calls) <= prefixes + 1
+    # e0^2 = e2 over gf 5: the prefixes e0 + b e1 are inconsistent and take
+    # none, e1 has no equation and takes p, e2 + t e3 takes one
+    calls.clear()
+    assert len(nil_set_bruteforce(Algebra(F5, E0_SQUARED_E2))) == p**3 - 1  # v_0 = 0
+    assert len(calls) == p + 1
 
 
 def test_empty_nil_set_over_a_large_prime_builds_no_scalars(monkeypatch):
