@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -78,10 +77,8 @@ class Algebra:
         self.names = tuple(names) if names is not None else None
         if self.names is not None and len(self.names) != n:
             raise DimensionMismatchError("need one name per basis element")
-        # a residue is an int, its own numerator over 1, so gf p gets D = 1
-        vals = [c.value for row in tab for cell in row for c in cell]
-        d = self._scale = lcm(*[v.denominator for v in vals])
-        raw = iter([v.numerator * (d // v.denominator) for v in vals])
+        raw, self._scale = _raw(field, [c for row in tab for cell in row for c in cell])
+        raw = iter(raw)
         # zip(*[it] * n) groups an iterator in n-tuples: the cells, then the rows
         self._tensor = tuple(zip(*[zip(*[raw] * n)] * n))
 

@@ -86,8 +86,10 @@ class Certificate(Record):
         for s in self.steps:
             mark = "ok" if s.check else "FAIL"
             line = f"  [{mark:4}] {s.description}"
-            if s.expected is not None or s.actual is not None:
+            if s.expected is not None:
                 line += f"  (expected {s.expected}, got {s.actual})"
+            elif s.actual is not None:
+                line += f"  (got {s.actual})"
             lines.append(line)
         passed = sum(1 for s in self.steps if s.check)
         status = "PASS" if self.verdict else "FAIL"

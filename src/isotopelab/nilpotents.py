@@ -9,23 +9,23 @@ exists iff beta gamma = -2 alpha (alpha != 0), with witness
 field, with a closure caveat: its points can miss nil elements that only
 appear over the algebraic closure.  Since (c v)^2 = c^2 v^2, it scans the
 leading-1 point of each line through the origin, y + s e_k + t e_last
-(k = n - 2, y_k = y_last = 0), and per prefix y solves the equations
-h . v^2 = 0, linear in (s, t), of each h in the annihilator of e_k^2,
-e_k e_last + e_last e_k and e_last^2 (see ``_nil_lines``).  The rank pass
-tests only these points, against the annihilator of the span so far: a
-multiple c v is in a span iff v is, and v comes first.
+(k = n - 2, y_k = y_last = 0), and per prefix y takes the first h in the
+annihilator of e_k^2, e_k e_last + e_last e_k and e_last^2 whose equation
+h . v^2 = 0, linear in (s, t), is not 0 = 0 (see ``_nil_lines``).  The
+rank pass tests only these points, against the annihilator of the span so
+far: a multiple c v is in a span iff v is, and v comes first.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import add, mul
+from operator import mul
 
 from .algebras import Algebra, Element, _contract, _residues
 from .catalog import c_family
 from .errors import DomainError, SearchBudgetExceededError
 from .fields import Field, Scalar, _is_prime
-from .matrices import _combination, _insert
+from .matrices import _combination
 from .records import FrozenRecord
 
 BRUTE_FORCE_BUDGET = 10**6
@@ -103,11 +103,11 @@ def _nil_lines(tensor, p: int):
     (Y = y^2, U = y e_k + e_k y, W = y e_l + e_l y, C = e_k e_l + e_l e_k):
     one contraction and one combination per prefix y.  Each h in H, the
     annihilator of e_k^2, C and e_l^2, gives h . Y + s h . U + t h . W = 0.
-    Reduced by ``_insert``, these are inconsistent (no point), or have two
-    pivots (one candidate), one pivot (v^2 along the line of solutions is
-    one quadratic) or none (as when H = 0: for each s, by forward
-    differences, the quadratic in t).  Every nil point solves them; every
-    candidate and root is checked on all n coordinates."""
+    The first of these that is not 0 = 0 decides: with a = b = 0 the
+    prefix has no point, else it has one line (s bound if a != 0, else t),
+    and with no such h it has the p lines s = 0..p-1.  Every nil point
+    lies on a line so chosen, and v^2 along a line is one quadratic whose
+    roots ``_roots`` checks on all n coordinates."""
     n = len(tensor)
     last, k = n - 1, n - 2
     quad = tensor[last][last]
@@ -118,7 +118,7 @@ def _nil_lines(tensor, p: int):
     # row i: e_i e_k + e_k e_i, then e_i e_last + e_last e_i
     cross = [[u + v for u, v in zip(tensor[i][k] + tensor[i][last], tensor[k][i] + tensor[last][i])]
              for i in range(n)]
-    sq_k, mixed, step_d = tensor[k][k], cross[k][n:], [2 * c for c in tensor[k][k]]
+    sq_k, mixed = tensor[k][k], cross[k][n:]
     yield [(0,) * k + (1, t) for t in _roots(sq_k, mixed, quad, p, root)]
     ann = [[int(i == j) for j in range(n)] for i in range(n)]
     for vec in (sq_k, mixed, quad):
@@ -131,39 +131,30 @@ def _nil_lines(tensor, p: int):
             sq = _contract(tensor, y, y)
             lin = _combination(y, cross, 0)
             u, w = lin[:n], lin[n:]
-            rows, pivots = [], []
+            # the first h . v^2 = 0, a s + b t + c = 0, that is not 0 = 0
+            a = b = c = 0
             for h in ann:
-                _insert([sum(map(mul, h, x)) % p for x in (u, w, sq)], rows, pivots, p)
-            # pivot -> equation: s + b t + c = 0 at 0, t + c = 0 at 1, 1 = 0 at 2
-            eqs = dict(zip(pivots, rows))
-            if 2 in eqs:
+                a, b, c = [sum(map(mul, h, x)) % p for x in (u, w, sq)]
+                if a or b or c:
+                    break
+            # each line is bound = b0 + m free, with s bound unless a = 0 != b
+            if a:
+                inv = pow(a, -1, p)
+                on_s, bound = True, [(-c * inv, -b * inv)]
+            elif b:
+                on_s, bound = False, [(-c * pow(b, -1, p), 0)]
+            elif c:
                 continue
-            if not eqs:
-                # at each s: sq = (y + s e_k)^2, diff = its step to s + 1, w = W + s C
-                diff = list(map(add, u, sq_k))
-                for s in range(p):
-                    lines.extend(prefix + (s, t) for t in _roots(sq, w, quad, p, root))
-                    sq = list(map(add, sq, diff))
-                    diff = list(map(add, diff, step_d))
-                    w = list(map(add, w, mixed))
-                continue
-            # one coordinate is bound = b0 + a free (s = -c - b t, or t = -c):
-            # along that line v^2 = c0 + free c1 + free^2 c2
-            if 0 in eqs:
-                b0, a, bv, fv, bq, fq = -eqs[0][2], -eqs[0][1], u, w, sq_k, quad
             else:
-                b0, a, bv, fv, bq, fq = -eqs[1][2], 0, w, u, quad, sq_k
-            c0 = [y2 + b0 * (x + b0 * q) for y2, x, q in zip(sq, bv, bq)]
-            c1 = [f + a * (x + 2 * b0 * q) + b0 * m for f, x, q, m in zip(fv, bv, bq, mixed)]
-            c2 = [(q + a * (m + a * r)) % p for q, m, r in zip(fq, mixed, bq)]
-            if len(eqs) == 2:  # the one candidate, t = -c, checked on all coordinates
-                t = -eqs[1][2] % p
-                nil = not any([(x0 + t * (x1 + t * x2)) % p for x0, x1, x2 in zip(c0, c1, c2)])
-                free = (t,) if nil else ()
-            else:
-                free = _roots(c0, c1, c2, p, root)
-            lines.extend(prefix + ((b0 + a * f) % p, f) if 0 in eqs else prefix + (f, b0 % p)
-                         for f in free)
+                on_s, bound = True, [(s, 0) for s in range(p)]
+            bv, fv, bq, fq = (u, w, sq_k, quad) if on_s else (w, u, quad, sq_k)
+            for b0, m in bound:
+                # along the line v^2 = c0 + free c1 + free^2 c2
+                c0 = [y2 + b0 * (x + b0 * q) for y2, x, q in zip(sq, bv, bq)]
+                c1 = [f + m * (x + 2 * b0 * q) + b0 * r for f, x, q, r in zip(fv, bv, bq, mixed)]
+                c2 = [(q + m * (r + m * x)) % p for q, r, x in zip(fq, mixed, bq)]
+                lines.extend(prefix + ((b0 + m * f) % p, f) if on_s else prefix + (f, b0 % p)
+                             for f in _roots(c0, c1, c2, p, root))
         yield lines
 
 

@@ -467,10 +467,12 @@ def _needs(name: str, option: str) -> DomainError:
 
 def _reduce(field: Field, option: str, value):
     """A given scalar option, a number or its text, as an element of the
-    field: text outside :meth:`Field.scalar`'s syntax (read over QQ) is a
-    ParseError, and a denominator that vanishes mod p is a DomainError, not
-    a ZeroDivisionError mid-run."""
+    field: text, stripped of surrounding whitespace, outside
+    :meth:`Field.scalar`'s syntax (read over QQ) is a ParseError, and a
+    denominator that vanishes mod p is a DomainError, not a
+    ZeroDivisionError mid-run."""
     if isinstance(value, str):
+        value = value.strip()
         try:
             value = QQ.scalar(value).value
         except (ValueError, ZeroDivisionError):

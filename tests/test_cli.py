@@ -194,6 +194,9 @@ def test_witness_exit_codes_match_verdicts(capsys):
         # alpha = 2 is no square in QQ; the C(1,0,0) normal form needs none
         ("theorem1", ["--abg", "2,0,0"]),
         ("theorem1", ["--abg", "1,1,0", "--gf", "3"]),
+        # blanks around a scalar token are ignored, as in rmul --elem
+        ("theorem1", ["--abg", "2, 1, 4"]),
+        ("lemma11", ["--rho", " 1/2 "]),
         ("theorem2", []),
         ("prop1", ["--n", "2"]),
         ("prop2", ["--n", "2"]),

@@ -286,8 +286,9 @@ def _values(A):
     return [[[c.value for c in cell] for cell in row] for row in A.table]
 
 
-# G4^(f, g) mod 5, n = 5: its prefixes reach two pivots, one pivot on s and
-# one on t; G5^(f, f) mod 3, n = 6: one pivot on every prefix, whole nil lines
+# G4^(f, g) mod 5, n = 5: its prefixes get lines with s bound and with t
+# bound, most of them cut to one point by a later h; G5^(f, f) mod 3, n = 6:
+# every h-equation of a prefix is a multiple of the first, whole nil lines
 G4_ISOTOPE_GF5 = _values(parse_algebra_file(DATA / "g4_gf5_isotope.alg"))
 G5_ISOTOPE_GF3 = _values(standard_isotope(g_n(F3, 5), random_invertible(F3, 6, 0)))
 E0_SQUARED_E2 = [[[0, 0, 1, 0]] + [[0] * 4] * 3] + [[[0] * 4] * 4] * 3
@@ -335,26 +336,32 @@ def small_tensors(draw):
 # Below, n = 4 over gf 5: v = (a, b, s, t), so k = 2 and l = 3, the prefixes
 # are y = e0 + b e1 and e1, and H is the h with h . e2^2 = 0,
 # h . (e2 e3 + e3 e2) = 0 and h . e3^2 = 0.
-# e0^2 = e2: at y = e0 + b e1, h = e2 reads 0 s + 0 t + 1 = 0, inconsistent
+# e0^2 = e2: at y = e0 + b e1, h = e2 reads 0 s + 0 t + 1 = 0, no point
 @example((5, E0_SQUARED_E2))
-# v^2 = (3 a^2 + 4 a t + 4 b s) e0 + s^2 e3: h = e0 gives one pivot on s,
+# v^2 = (3 a^2 + 4 a t + 4 b s) e0 + s^2 e3: h = e0 gives a line with s bound,
 # s = -(3 + 4 t) / (4 b) for b != 0, and s^2 = 0 leaves t = 3 only
 @example((5, [[[3, 0, 0, 0], [0] * 4, [0] * 4, [2, 0, 0, 0]],
               [[0] * 4, [0] * 4, [2, 0, 0, 0], [0] * 4],
               [[0] * 4, [2, 0, 0, 0], [0, 0, 0, 1], [0] * 4],
               [[2, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4]]))
-# v^2 = (b^2 + b t + 3 s^2) e0 + s^2 e1: h = e0 + 2 e1 gives one pivot on t,
-# t = -b, and then s = 0
+# v^2 = (b^2 + b t + 3 s^2) e0 + s^2 e1: h = e0 + 2 e1 gives a line with t
+# bound, t = -b, and then s = 0
 @example((5, [[[0] * 4] * 4,
               [[0] * 4, [1, 0, 0, 0], [0] * 4, [3, 0, 0, 0]],
               [[0] * 4, [0] * 4, [3, 1, 0, 0], [0] * 4],
               [[0] * 4, [3, 0, 0, 0], [0] * 4, [0] * 4]]))
-# noncommutative; h = e0 and e1 give two pivots: on some prefixes the one
-# candidate is nil, on others the check on all coordinates rejects it
+# noncommutative; H = span(e1, e2, e3), and at y = e0 + b e1, h = e1 gives
+# the line s = 2 b and h = e2 the line t = 0: at b = 0 their one common point
+# is nil, for b != 0 the check on all coordinates of the first line rejects it
 @example((5, [[[0] * 4, [0, 4, 0, 0], [0, 3, 0, 0], [0] * 4],
               [[0] * 4, [0] * 4, [3, 0, 0, 0], [0] * 4],
               [[0] * 4, [0] * 4, [3, 0, 0, 0], [0] * 4],
               [[0, 0, 2, 0], [0] * 4, [0] * 4, [0] * 4]]))
+# e0^2 = e3, e0 e2 = e2 e0 = e0: at y = e0 + b e1, v^2 = 2 s e0 + e3, so
+# h = e0 gives the line s = 0 and the later h = e3 reads 1 = 0; the check on
+# all coordinates finds no point on the line (124 nils, nil-rank 3)
+@example((5, [[[0, 0, 0, 1], [0] * 4, [1, 0, 0, 0], [0] * 4], [[0] * 4] * 4,
+              [[1, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], [[0] * 4] * 4]))
 @given(small_tensors())
 def test_nil_scan_matches_full_point_scan(case):
     p, table = case
@@ -371,8 +378,8 @@ def test_nil_scan_matches_full_point_scan(case):
 
 
 def test_nil_scan_solves_one_quadratic_per_prefix(monkeypatch):
-    # the h-equations leave each prefix y one quadratic at most, where
-    # stepping s through F_p takes p of them
+    # the first h-equation leaves each prefix y one line, one quadratic,
+    # where stepping s through F_p takes p of them
     calls = []
     roots = nilpotents._roots
     monkeypatch.setattr(nilpotents, "_roots", lambda *args: calls.append(args) or roots(*args))
@@ -382,8 +389,8 @@ def test_nil_scan_solves_one_quadratic_per_prefix(monkeypatch):
     prefixes = sum(p**j for j in range(n - 2))  # leads 0..n-3
     # plus one for the fixed block e_(n-2) + t e_(n-1); e_(n-1) takes none
     assert 0 < len(calls) <= prefixes + 1
-    # e0^2 = e2 over gf 5: the prefixes e0 + b e1 are inconsistent and take
-    # none, e1 has no equation and takes p, e2 + t e3 takes one
+    # e0^2 = e2 over gf 5: the prefixes e0 + b e1 read 1 = 0 and take none,
+    # e1 has no equation and takes p, e2 + t e3 takes one
     calls.clear()
     assert len(nil_set_bruteforce(Algebra(F5, E0_SQUARED_E2))) == p**3 - 1  # v_0 = 0
     assert len(calls) == p + 1

@@ -395,3 +395,21 @@ def test_empty_certificate_fails():
     assert cert.render().endswith("verdict: FAIL (0/0 checks)")
     cert.check("one real check", True)
     assert cert.verdict
+
+
+def test_render_shows_an_expected_value_only_where_one_was_given():
+    from isotopelab import Certificate
+
+    cert = Certificate("x")
+    cert.check("a bare check", True)
+    cert.check("a check about a value", True, (1, 2))
+    cert.expect_equal("a comparison", 3, 4)
+    assert cert.render().splitlines()[1:4] == [
+        "  [ok  ] a bare check",
+        "  [ok  ] a check about a value  (got (1, 2))",
+        "  [FAIL] a comparison  (expected 3, got 4)",
+    ]
+    # the JSON keeps both keys on every step
+    assert cert.as_dict()["steps"][1] == {
+        "step": "a check about a value", "check": True, "expected": None, "actual": "(1, 2)"
+    }
