@@ -18,7 +18,8 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, _combination, _insert, _raw, _reduce, _spin, row_rank, solve
+from .matrices import (Matrix, _combination, _insert, _irreducible, _raw, _reduce, _row_images,
+                       _spin, row_rank, solve)
 
 
 def _contract(table, u, v) -> list:
@@ -393,21 +394,19 @@ _IDEAL_MAX_N, _IDEAL_MAX_P = 4, 7  # the largest n and p the ideal search runs f
 
 def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
     """All proper nonzero ideals of a small prime-field algebra, one
-    reduced-echelon basis each.  Feasible range: n <= _IDEAL_MAX_N,
-    p <= _IDEAL_MAX_P.
+    reduced-echelon basis each, in the order of a flat scan over every
+    proper subspace.  Feasible range: n <= _IDEAL_MAX_N, p <= _IDEAL_MAX_P.
 
-    The bases are built one row at a time: pivot columns in
-    ``itertools.combinations`` order, then the free entries with row 0
-    slowest, each row's in lexicographic order.  Every row but the last is
-    spun: closed under the operators of :func:`_operators`, which gives the ideal
-    <v> it generates.  If v lies in an ideal I then <v> lies in I, so every
-    leading position of <v> is a pivot column of I; a row whose spin has a
-    leading position outside the pivot columns (a spin of all of F_p^n
-    has every column) is dropped with all its completions.  Each completed
-    basis is then checked for closure directly, so the list and its order
-    are those of a flat scan over every proper subspace.  The search reads
-    only the structure tensor and never the multiplication envelope, so it
-    stays an independent check of :func:`is_simple_closure`.
+    Norton's test (:func:`~isotopelab.matrices._irreducible`) may first
+    prove that there is none.  Lemma: let dim ker(theta - lambda) = 1 for a
+    combination theta of the operators of :func:`_operators`; if its left
+    kernel vector v spins to all of F_p^n under the operators and its right
+    one w under their transposes, A has no proper ideal W != 0.  For
+    theta - lambda maps W into W: singular there, it puts v in W;
+    invertible there, it is singular on A / W and puts w in the annihilator
+    of W, which the transposes keep.  Otherwise :func:`_ideal_scan`
+    decides.  Neither route forms the multiplication envelope, so the
+    search stays an independent check of :func:`is_simple_closure`.
     """
     p = A.field.p
     if p is None:
@@ -416,13 +415,26 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
         raise SearchBudgetExceededError(
             f"subspace enumeration infeasible for n = {A.n}, p = {p}"
         )
+    operators = [op for _, op in _operators(_residues(A, p))]
+    return [] if _irreducible(operators, p) else _ideal_scan(A, operators, p)
+
+
+def _ideal_scan(A: Algebra, operators, p: int) -> list[tuple[Element, ...]]:
+    """The ideals of :func:`ideal_search_exhaustive` by a pruned scan.
+
+    The bases are built one row at a time: pivot columns in
+    ``itertools.combinations`` order, then the free entries with row 0
+    slowest, each row's in lexicographic order.  Every row but the last is
+    spun: closed under the operators, which gives the ideal <v> it
+    generates.  If v lies in an ideal I then <v> lies in I, so every
+    leading position of <v> is a pivot column of I; a row whose spin has a
+    leading position outside the pivot columns (a spin of all of F_p^n
+    has every column) is dropped with all its completions.  Each completed
+    basis is then checked for closure directly, so the list and its order
+    are those of a flat scan over every proper subspace.
+    """
     n = A.n
-    tensor = _residues(A, p)
-    operators = [op for _, op in _operators(tensor)]
-
-    def images(w):
-        return ([c % p for c in _combination(w, op, 0)] for op in operators)
-
+    images = _row_images(operators, p)
     spins: dict[tuple[int, ...], frozenset] = {}
     found: list[tuple[Element, ...]] = []
 

@@ -102,6 +102,8 @@ class Field(FrozenRecord):
         if isinstance(value, str):
             if not _SCALAR_TEXT.fullmatch(value):
                 raise ValueError(f"Invalid literal for Fraction: {value!r}")
+            if "/" in value and not int(value.partition("/")[2]):
+                raise ZeroDivisionError("zero denominator")
             value = Fraction(value)
         if isinstance(value, int):
             if self.p is not None:

@@ -286,6 +286,47 @@ def _spin(seeds, images, full: int, p: int | None = None) -> tuple[list[list], l
     return rows, pivots
 
 
+def _row_images(mats, p: int):
+    """:func:`_spin`'s ``images`` under residue matrices: v M mod p per M."""
+    return lambda v: ([c % p for c in _combination(v, mat, 0)] for mat in mats)
+
+
+_NORTON_TRIES = 8  # how many theta _irreducible tries before it gives up
+
+
+def _irreducible(ops, p: int) -> bool:
+    """Norton's test: True proves that no proper nonzero subspace of F_p^n
+    is invariant under the n x n residue matrices ``ops`` (acting on rows).
+    Try t spins the kernel vectors of theta - lambda, theta = s ops[i] +
+    ops[i + 1] (i = t mod m for m ops, s = t // m + 1), at the first lambda
+    in F_p with a 1-dimensional kernel: the lemma of
+    :func:`~isotopelab.algebras.ideal_search_exhaustive`."""
+    n, m = len(ops[0]), len(ops)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    transposes = [list(zip(*op)) for op in ops]
+
+    def spins_full(seeds, mats):
+        return len(_spin(seeds, _row_images(mats, p), n, p)[0]) == n
+
+    def kernel(rows):
+        # the semi-echelon rows of [M | I] that are 0 on M end in a basis of {x : x M = 0}
+        ech, piv = [], []
+        for row, e in zip(rows, unit):
+            _insert([*row, *e], ech, piv, p)
+        return [r[n:] for r, c in zip(ech, piv) if c >= n]
+
+    thetas = (tuple(tuple(((t // m + 1) * a + b) % p for a, b in zip(*rows))
+                    for rows in zip(ops[t % m], ops[(t + 1) % m])) for t in range(_NORTON_TRIES))
+    for theta in dict.fromkeys(thetas):  # a theta met again decides nothing new
+        for lam in range(p):
+            shifted = [[(x - lam * e) % p for x, e in zip(row, es)]
+                       for row, es in zip(theta, unit)]
+            left = kernel(shifted)
+            if len(left) == 1:
+                return spins_full(left, ops) and spins_full(kernel(zip(*shifted)), transposes)
+    return False
+
+
 class SpanTracker:
     """Incremental row space over a field: a semi-echelon basis in insertion
     order, built by :func:`_insert`, the package's one elimination step.

@@ -758,9 +758,35 @@ def _flat_ideal_scan(A):
     return found
 
 
+def _matrix_units(field):
+    """M_2(F) on the basis E_11, E_12, E_21, E_22: E_ij E_kl = [j == k] E_il,
+    simple and not commutative."""
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return Algebra.from_products(field, 4, {
+        (a, b): [int(unit == (i, l)) for unit in units]
+        for a, (i, j) in enumerate(units) for b, (k, l) in enumerate(units) if j == k
+    })
+
+
 @given(ideal_search_algebras())
 @example(Algebra.from_products(F3, 4, {}))
 @example(Algebra.from_products(F3, 3, {(0, 0): [1, 0, 0], (0, 1): [0, 0, 1]}))
+# Norton's test, with the shipped theta sequence: gf 3 with e_1 e_0 = e_0 and
+# e_1 e_1 = e_1, where only the spin of the left kernel vector v shows that
+# span(e_0) is an ideal, and gf 5 with e_0 e_1 = 2 e_0, where only the spin
+# of the right kernel vector w shows it
+@example(Algebra.from_products(F3, 2, {(1, 0): [1, 0], (1, 1): [0, 1]}))
+@example(Algebra.from_products(F5, 2, {(0, 1): [2, 0]}))
+# gf 3 with e_0 e_0 = e_1 e_1 = e_0 + e_1 and e_0 e_1 = e_1 e_0 = 2 (e_0 + e_1):
+# the first theta is 0, and its 2-dimensional kernel must not decide
+@example(Algebra.from_products(F3, 2, {(0, 0): [1, 1], (0, 1): [2, 2], (1, 0): [2, 2],
+                                       (1, 1): [1, 1]}))
+# M_2(F_3), decided by the test through left and right operators
+@example(_matrix_units(F3))
+# the field F_9 = F_3[i] on (1, i): simple, but each theta - lambda over F_3
+# is invertible or has a 2-dimensional kernel, so no theta decides it
+@example(Algebra.from_products(F3, 2, {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [0, 1],
+                                       (1, 1): [2, 0]}))
 def test_ideal_search_against_flat_subspace_scan(A):
     # the pruned search must return the flat scan's ideals, in its order
     got = [tuple(coords(e) for e in basis) for basis in ideal_search_exhaustive(A)]
@@ -889,6 +915,42 @@ def test_ideal_search_matches_golden():
     e1e1_e1e2 = Algebra.from_products(F3, 3, {(0, 0): [1, 0, 0], (0, 1): [0, 0, 1]})
     parts.append(show(3, "e1e1=e1,e1e2=e3", e1e1_e1e2))
     assert "".join(parts).encode() == (DATA / "ideal_search_gf.txt").read_bytes()
+
+
+def test_norton_test_spares_the_scan_exactly_on_simple_inputs(monkeypatch):
+    # Norton's test proves each of these ideal-free, so the subspace scan
+    # never runs for them; it runs for every C(0, b, g) and the zero
+    # algebra, which have ideals, and their answers stay the golden's
+    import isotopelab.algebras as algebras_module
+
+    scans = []
+    scan = algebras_module._ideal_scan
+    monkeypatch.setattr(algebras_module, "_ideal_scan",
+                        lambda *args: scans.append(args) or scan(*args))
+    golden = {}
+    for line in (DATA / "ideal_search_gf.txt").read_text().splitlines():
+        p, label, ideals = line.split(" ", 2)
+        golden[int(p), label] = ideals
+
+    def show(A):
+        return str([[str(e) for e in basis] for basis in ideal_search_exhaustive(A)])
+
+    F7 = Field.gf(7)
+    simple = [g_n(Field.gf(p), n) for p in (3, 5, 7) for n in (2, 3)]
+    simple += [A for p in (3, 5, 7) for label, A in catalog_algebras(Field.gf(p)).items()
+               if A.n <= 4 and golden[p, label] == "[]"]
+    simple += [transported(g_n(F7, 3), random_invertible(F7, 4, seed)) for seed in range(16)]
+    for A in simple:
+        assert ideal_search_exhaustive(A) == []
+    assert scans == []
+    for p in (3, 5, 7):
+        F = Field.gf(p)
+        for b, g in itertools.product(range(p), repeat=2):
+            assert show(c_family(F, 0, b, g)) == golden[p, f"C(0,{b},{g})"]
+            assert len(scans) == 1
+            scans.clear()
+    assert show(Algebra.from_products(F5, 3, {})) == golden[5, "zero3"]
+    assert len(scans) == 1
 
 
 def test_unit_mod_matches_find_unit():

@@ -143,6 +143,18 @@ def test_matrix_parse_checks_shape():
         parse_matrix_text("# nothing\n", QQ)
 
 
+@pytest.mark.parametrize("field", [QQ, Field.gf(5)])
+@pytest.mark.parametrize("token", ["1/0", "0/0", "-2/00"])
+def test_zero_denominator_is_named(field, token):
+    # Fraction's own message, "Fraction(1, 0)", would leak a Python repr
+    with pytest.raises(ParseError) as err:
+        parse_algebra_text(f"field {field}\ndim 1\nc 1 1 1 {token}\n")
+    assert str(err.value) == f"line 3: bad scalar {token!r} (zero denominator)"
+    with pytest.raises(ParseError) as err:
+        parse_matrix_text(f"1 0\n0 {token}\n", field)
+    assert str(err.value) == f"line 2: bad scalar {token!r} (zero denominator)"
+
+
 def test_parse_element_coords():
     A = j2(QQ)
     el = parse_element_coords("1,-3/2,0", A)

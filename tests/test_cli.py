@@ -234,6 +234,18 @@ def test_rmul_bad_coordinate_names_no_line(capsys):
     )
 
 
+def test_zero_denominator_exits_2_with_a_plain_message(tmp_path, capsys):
+    # in a file and in an option alike, with no Python repr in the message
+    path = tmp_path / "zero.alg"
+    path.write_text("field gf 5\ndim 1\nc 1 1 1 1/0\n")
+    code, out, err = run(capsys, "rmul", str(path), "--elem", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: line 3: bad scalar '1/0' (zero denominator)\n"
+    code, out, err = run(capsys, "rmul", str(ALGEBRAS / "j2.alg"), "--elem", "1,0/0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: bad scalar '0/0' (zero denominator)\n"
+
+
 def test_a_large_prime_modulus_is_read_quickly(tmp_path, capsys):
     # trial division spent seconds on each of these primes; each field is
     # built here first, since a field once built is kept
