@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .matrices import (Matrix, _combination, _insert, _irreducible, _raw, _reduce, _row_images,
-                       _spin, row_rank, solve)
+                       _scalars, _spin, row_rank, solve)
 
 
 def _contract(table, u, v) -> list:
@@ -115,15 +115,8 @@ class Algebra:
 
     def _scalars(self, vals, scale: int) -> tuple[Scalar, ...]:
         """Scalars of raw values computed on the stored tensor from vectors
-        whose scales multiply to ``scale``: residues reduced mod p, or over
-        QQ each integer over ``scale`` times D.  Each Scalar is built once,
-        and the zeros share one."""
-        field, p = self.field, self.field.p
-        zero = field.zero
-        if p is not None:
-            return tuple(Scalar(field, r) if (r := x % p) else zero for x in vals)
-        den = scale * self._scale
-        return tuple(Scalar(field, Fraction(x, den)) if x else zero for x in vals)
+        whose scales multiply to ``scale``: over QQ, over ``scale`` times D."""
+        return _scalars(self.field, vals, scale * self._scale)
 
     def relabel(self, perm, names=None) -> "Algebra":
         """Permuted copy: old basis element i becomes new basis element perm[i]."""
@@ -308,21 +301,20 @@ ENVELOPE_PRIME = 2**31 - 1
 
 def _exact_envelope_dimension(A: Algebra) -> int:
     """The envelope dimension, exactly: the residue closure below over gf p,
-    and over QQ the same closure on Matrix products made integral."""
+    and over QQ the same closure on the integer vectors of raw Matrix
+    products, each image a positive multiple of the rational one."""
     p = A.field.p
     if p is not None:
         return _residue_envelope_dimension(_residues(A, p), p)
     n = A.n
-    gens = [Matrix(A.field, g) for _, g in _operators(A.table)]
-
-    def integral(m: Matrix) -> list[int]:
-        return _raw(A.field, [v for row in m.rows for v in row])[0]
+    ops = [op for _, op in _operators(A._tensor)]
+    gens = [Matrix._of_raw(A.field, op, A._scale) for op in ops]
 
     def images(v):
-        m = Matrix(A.field, [v[i * n:(i + 1) * n] for i in range(n)])
-        return (integral(m * g) for g in gens)
+        m = Matrix._of_raw(A.field, [v[i * n:(i + 1) * n] for i in range(n)], 1)
+        return ([c for row in (m * g)._raw_rows()[0] for c in row] for g in gens)
 
-    return len(_spin([integral(g) for g in gens], images, n * n)[0])
+    return len(_spin([[c for row in op for c in row] for op in ops], images, n * n)[0])
 
 
 def _residues(A: Algebra, p: int) -> tuple | None:
@@ -472,15 +464,25 @@ def _ideal_scan(A: Algebra, operators, p: int) -> list[tuple[Element, ...]]:
 
 def _preserves_products(A: Algebra, B: Algebra, phi: Matrix, psi: Matrix, xi: Matrix) -> bool:
     """Whether (e_i phi)(e_j psi) = (e_i e_j) xi in B for every basis pair of
-    A (enough, by bilinearity); the maps share one field and size."""
+    A (enough, by bilinearity); the maps share one field and size.  Both
+    sides are compared on raw values: with f_i, g_j, x the raw rows of
+    phi, psi, xi over the scales s_f, s_g, s_x, and D_A, D_B the tensor
+    scales, (f_i g_j) D_A s_x = (c_ij x) D_B s_f s_g, exactly over QQ and
+    mod p over gf p."""
     if A.field is not B.field or A.n != B.n:
         return False
     if phi.field is not A.field or phi.n != A.n:
         return False
-    return all(
-        B.mul_coords(phi.rows[i], psi.rows[j]) == xi.apply(A.table[i][j])
+    (f, sf), (g, sg), (x, sx) = phi._raw_rows(), psi._raw_rows(), xi._raw_rows()
+    left, right = A._scale * sx, B._scale * sf * sg
+    p = A.field.p
+    return not any(
+        (d % p if p else d)
         for i in range(A.n)
         for j in range(A.n)
+        for d in (u * left - v * right
+                  for u, v in zip(_contract(B._tensor, f[i], g[j]),
+                                  _combination(A._tensor[i][j], x, 0)))
     )
 
 
@@ -616,7 +618,7 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
     def extend() -> Matrix | None:
         r = len(xi)
         if r == n:
-            m = Matrix(A.field, xi)
+            m = Matrix._of_raw(A.field, tuple(map(tuple, xi)), 1)
             return m if verify_isomorphism(A, B, m) else None
         for row in _solutions(due[r], n, p):
             if square[r] is not None and any(d % p for d in square[r](row)):

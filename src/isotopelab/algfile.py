@@ -105,9 +105,19 @@ def parse_algebra_text(text: str) -> Algebra:
     return Algebra(field, table, names=names)
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a ParseError naming
+    the first bad byte and its offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}") from None
+
+
 def parse_algebra_file(path) -> Algebra:
-    with open(path, encoding="utf-8") as fh:
-        return parse_algebra_text(fh.read())
+    return parse_algebra_text(_read_text(path))
 
 
 def serialize_algebra(A: Algebra, comment: str | None = None) -> str:
@@ -143,8 +153,7 @@ def parse_matrix_text(text: str, field: Field) -> Matrix:
 
 
 def parse_matrix_file(path, field: Field) -> Matrix:
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read(), field)
+    return parse_matrix_text(_read_text(path), field)
 
 
 def serialize_matrix(m: Matrix) -> str:

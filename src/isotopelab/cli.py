@@ -166,7 +166,7 @@ def _cmd_analyze(args) -> int:
             f"simple (closure criterion): {'yes' if simple else 'no'}  [envelope {env}/{A.n * A.n}]",
             f"ideal search (exhaustive): {ideal_note}",
             nil_line,
-            "nil witnesses: " + ", ".join(nil_payload["witnesses"]),
+            "nil witnesses: " + (", ".join(nil_payload["witnesses"]) or "none"),
         ]
     )
     _emit(payload, args.json, text)
@@ -237,7 +237,7 @@ def _cmd_iso_search(args) -> int:
 def _cmd_nilrank(args) -> int:
     A = parse_algebra_file(args.file)
     payload, line = _nil_summary(nil_rank(A, p=args.p))
-    text = line + "\nwitnesses: " + ", ".join(payload["witnesses"])
+    text = line + "\nwitnesses: " + (", ".join(payload["witnesses"]) or "none")
     _emit(payload, args.json, text)
     return 0
 

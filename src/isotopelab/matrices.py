@@ -22,9 +22,15 @@ from .records import FrozenRecord
 
 
 class Matrix:
-    """Immutable square matrix of scalars over one field."""
+    """Immutable square matrix of scalars over one field.
 
-    __slots__ = ("field", "n", "rows")
+    It holds its entries as Scalars (``rows``), in the raw form of
+    :func:`_raw` (residues mod p with scale 1, or integers over one
+    positive scale, not necessarily the least), or both, and builds either
+    form from the other the first time it is read.  Products run on the
+    raw form; ``apply``, ``det`` and ``inverse`` read Scalars."""
+
+    __slots__ = ("field", "n", "_rows", "_ints", "_scale")
 
     def __init__(self, field: Field, rows):
         rows = tuple(tuple(field.scalar(v) for v in row) for row in rows)
@@ -33,7 +39,30 @@ class Matrix:
             raise DimensionMismatchError("matrix must be square and nonempty")
         self.field = field
         self.n = n
-        self.rows = rows
+        self._rows = rows
+        self._ints = None
+
+    @classmethod
+    def _of_raw(cls, field: Field, ints, scale: int) -> "Matrix":
+        """The matrix with entries ``ints`` (n rows of n raw values) over
+        ``scale``; no Scalar is built until ``rows`` is read."""
+        m = object.__new__(cls)
+        m.field, m.n, m._rows, m._ints, m._scale = field, len(ints), None, ints, scale
+        return m
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(_scalars(self.field, row, self._scale) for row in self._ints)
+        return self._rows
+
+    def _raw_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The raw form: the rows of raw values and their common scale."""
+        if self._ints is None:
+            vals, self._scale = _raw(self.field, [v for row in self._rows for v in row])
+            vals = iter(vals)
+            self._ints = tuple(zip(*[vals] * self.n))
+        return self._ints, self._scale
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -57,8 +86,14 @@ class Matrix:
             raise FieldMismatchError("matrices over different fields")
         if self.n != other.n:
             raise DimensionMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
-        zero = self.field.zero
-        return Matrix(self.field, [_combination(row, other.rows, zero) for row in self.rows])
+        # the product of the scales is a common scale, if not the least one
+        (a, sa), (b, sb) = self._raw_rows(), other._raw_rows()
+        p = self.field.p
+        if p is None:
+            prod = tuple(tuple(_combination(row, b, 0)) for row in a)
+        else:
+            prod = tuple(tuple(c % p for c in _combination(row, b, 0)) for row in a)
+        return Matrix._of_raw(self.field, prod, sa * sb)
 
     def apply(self, coords) -> tuple[Scalar, ...]:
         """Row vector times matrix: image of ``coords`` under this operator."""
@@ -108,6 +143,10 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self.rows))
+
+    def __reduce__(self):
+        # pickles and copies depend on the entries only, not on the forms held
+        return Matrix, (self.field, self.rows)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows) + "]"
@@ -216,6 +255,15 @@ def _raw(field: Field, vec) -> tuple[list[int], int]:
     nums, dens = zip(*[v.as_integer_ratio() for v in vals])
     d = lcm(*dens)
     return [a * (d // b) for a, b in zip(nums, dens)], d
+
+
+def _scalars(field: Field, vals, scale: int) -> tuple[Scalar, ...]:
+    """The Scalars of raw values over ``scale``: residues reduced mod p, or
+    over QQ each integer over ``scale``.  The zeros share one Scalar."""
+    p, zero = field.p, field.zero
+    if p is not None:
+        return tuple(Scalar(field, r) if (r := x % p) else zero for x in vals)
+    return tuple(Scalar(field, Fraction(x, scale)) if x else zero for x in vals)
 
 
 def _reduce(vec: list, rows: list[list], pivots: list[int], p: int | None = None):

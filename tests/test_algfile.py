@@ -15,8 +15,10 @@ from isotopelab import (
     j2,
 )
 from isotopelab.algfile import (
+    parse_algebra_file,
     parse_algebra_text,
     parse_element_coords,
+    parse_matrix_file,
     parse_matrix_text,
     serialize_algebra,
     serialize_matrix,
@@ -153,6 +155,34 @@ def test_zero_denominator_is_named(field, token):
     with pytest.raises(ParseError) as err:
         parse_matrix_text(f"1 0\n0 {token}\n", field)
     assert str(err.value) == f"line 2: bad scalar {token!r} (zero denominator)"
+
+
+@pytest.mark.parametrize("data,byte,offset", [
+    (b"\xff\n", 0xff, 0),
+    # a lead byte with no continuation, after two valid lines
+    (b"field rational\ndim 1\n\xe9\n", 0xe9, 21),
+    # a valid two-byte character, then a stray continuation byte
+    (b"# caf\xc3\xa9\n1 \x80\n", 0x80, 10),
+])
+def test_bytes_that_are_not_utf8_are_a_parse_error(tmp_path, data, byte, offset):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    message = f"not UTF-8: byte 0x{byte:02x} at offset {offset}"
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(path)
+    assert str(err.value) == message and err.value.line is None
+    with pytest.raises(ParseError) as err:
+        parse_matrix_file(path, QQ)
+    assert str(err.value) == message
+
+
+def test_files_are_read_as_utf8(tmp_path):
+    # a non-ASCII comment and CRLF line ends read as the same text
+    path = tmp_path / "j2.alg"
+    path.write_bytes(("# algèbre\r\n" + J2_FILE.replace("\n", "\r\n")).encode())
+    assert parse_algebra_file(path) == parse_algebra_text(J2_FILE)
+    path.write_bytes("1 0 # é\r\n0 1\r\n".encode())
+    assert parse_matrix_file(path, QQ) == parse_matrix_text("1 0\n0 1\n", QQ)
 
 
 def test_parse_element_coords():

@@ -416,6 +416,45 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{bad}"],
+    ["nilrank", "{bad}"],
+    ["rmul", "{bad}", "--elem", "1"],
+    ["isotope", "{alg}", "--f", "{bad}", "-o", "{out}"],
+    ["isotope", "{alg}", "--f", "{mat}", "--g", "{bad}", "-o", "{out}"],
+    ["express-rmul", "{bad}", "--mat", "{mat}"],
+    ["express-rmul", "{alg}", "--mat", "{bad}"],
+    ["iso-search", "{bad}", "{alg}"],
+    ["iso-search", "{alg}", "{bad}"],
+])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    paths = {"bad": tmp_path / "bad.txt", "alg": tmp_path / "one.alg",
+             "mat": tmp_path / "one.mat", "out": tmp_path / "out.alg"}
+    paths["bad"].write_bytes(b"\xff\n")
+    paths["alg"].write_text("field gf 5\ndim 1\nc 1 1 1 1\n")
+    paths["mat"].write_text("1\n")
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: not UTF-8: byte 0xff at offset 0\n"
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
+
+
+def test_empty_witness_lists_print_none(tmp_path, capsys):
+    # nil-rank 0: no nonzero nilpotent, so no witness; JSON keeps the empty list
+    path = tmp_path / "one.alg"
+    path.write_text("field gf 5\ndim 1\nc 1 1 1 1\n")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert out.endswith("nil-rank: 0  [bruteforce-fp] (closure caveat)\nnil witnesses: none\n")
+    code, out, _ = run(capsys, "nilrank", str(path))
+    assert (code, out) == (0, "nil-rank: 0  [bruteforce-fp] (closure caveat)\nwitnesses: none\n")
+    for command in ("analyze", "nilrank"):
+        code, out, _ = run(capsys, command, str(path), "--json")
+        payload = json.loads(out)
+        assert payload.get("nil_rank", payload)["witnesses"] == []
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.alg")
     assert code == 2

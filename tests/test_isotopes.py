@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from isotopelab import (
+    Algebra,
     DimensionMismatchError,
     Field,
     FieldMismatchError,
@@ -164,6 +166,53 @@ def test_isotopy_composition_and_inverse():
     assert verify_isotopy(iso, A, lam.inverse())
     composed = lam.then(lam.inverse())
     assert verify_isotopy(A, A, composed)
+
+
+def preserves_on_scalars(A, B, phi, psi, xi):
+    """The definition, on Scalars: (e_i phi)(e_j psi) = (e_i e_j) xi."""
+    return all(B.mul_coords(phi.rows[i], psi.rows[j]) == xi.apply(A.table[i][j])
+               for i in range(A.n) for j in range(A.n))
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+@pytest.mark.parametrize("seed", range(8))
+def test_verify_isotopy_matches_the_definition(field, seed):
+    # denominators that differ from map to map and from the tensors', and
+    # maps that are products, so that every scale of the raw check is not 1
+    rng = random.Random(seed)
+    n = 3
+
+    def value(dens):
+        return Fraction(rng.randint(-3, 3), rng.choice(dens))
+
+    def invertible(dens):
+        while True:
+            m = Matrix(field, [[value(dens) for _ in range(n)] for _ in range(n)])
+            if m.is_invertible():
+                return m
+
+    A = Algebra(field, [[[value((1, 7)) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+    phi = invertible((1, 2)) * invertible((1, 3))
+    psi, xi = invertible((1, 3)), invertible((1, 2, 3)) * invertible((1, 7))
+    phi_inv, psi_inv, xi_inv = phi.inverse(), psi.inverse(), xi.inverse()
+
+    def transported(f_inv, g_inv, h):
+        # the algebra on which (f, g, h) is an isotopy from A
+        return Algebra(field, [[h.apply(A.mul_coords(f_inv.rows[i], g_inv.rows[j]))
+                                for j in range(n)] for i in range(n)])
+
+    B = transported(phi_inv, psi_inv, xi)
+    assert verify_isotopy(A, B, Isotopy(phi, psi, xi))
+    C = transported(xi_inv, xi_inv, xi)
+    assert verify_isomorphism(A, C, xi)
+    bent = Matrix(field, [[xi.rows[0][0] + 1, *xi.rows[0][1:]], *xi.rows[1:]])
+    two = Matrix.scalar_matrix(field, n, 2)
+    for maps in [(phi, psi, bent), (psi, phi, xi), (phi * two, psi, xi), (phi, psi, xi * two)]:
+        if all(m.is_invertible() for m in maps):
+            assert verify_isotopy(A, B, Isotopy(*maps)) == preserves_on_scalars(A, B, *maps)
+    for m in (bent, xi * two, phi):
+        if m.is_invertible():
+            assert verify_isomorphism(A, C, m) == preserves_on_scalars(A, C, m, m, m)
 
 
 def test_isotopy_requires_invertible_maps():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from isotopelab import (
     DomainError,
     Field,
     Matrix,
+    Scalar,
     SingularMatrixError,
     SpanTracker,
     random_invertible,
@@ -196,6 +199,13 @@ def test_matrix_equals_no_row_tuple():
     assert m != m.rows and m == Matrix(f5, m.rows)
 
 
+def test_rows_cannot_be_assigned():
+    m = Matrix.identity(f5, 2)
+    with pytest.raises(AttributeError):
+        m.rows = ((0, 1), (1, 0))
+    assert m == Matrix.identity(f5, 2)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         Matrix(rationals, [[1]]) * Matrix(rationals, [[1, 0], [0, 1]])
@@ -223,6 +233,33 @@ def dot(field, row, x):
     return sum((a * b for a, b in zip(row, x)), field.zero)
 
 
+def check_product(make, plain):
+    """Products made by ``make``, each fresh, so that none of its forms has
+    been read, against the matrix ``plain`` of the same entries."""
+    field, p = plain.field, plain.field.p
+    values = [[v.value for v in row] for row in plain.rows]
+    # the raw form: residues with scale 1, or integers over a positive scale
+    ints, scale = make()._raw_rows()
+    if p is None:
+        assert scale > 0 and all(type(v) is int for row in ints for v in row)
+        assert [[Fraction(v, scale) for v in row] for row in ints] == values
+    else:
+        assert scale == 1 and [list(row) for row in ints] == values
+    # every entry is a Scalar of the field: a Fraction over QQ, a residue over gf p
+    for v in (v for row in make().rows for v in row):
+        assert v.__class__ is Scalar and v.field is field
+        assert type(v.value) is Fraction if p is None else type(v.value) is int and 0 <= v.value < p
+    assert make() == plain and plain == make() and not make() != plain
+    assert hash(make()) == hash(plain)
+    assert str(make()) == str(plain) and repr(make()) == repr(plain)
+    prod = make()
+    assert pickle.dumps(prod) == pickle.dumps(Matrix(field, prod.rows))
+    for twin in (pickle.loads(pickle.dumps(make())), copy.copy(make()), copy.deepcopy(make())):
+        assert twin == plain and hash(twin) == hash(plain)
+    with pytest.raises(AttributeError):
+        make().rows = plain.rows
+
+
 @st.composite
 def square_systems(draw):
     field = draw(st.sampled_from([rationals, f3, f5, Field.gf(7)]))
@@ -247,9 +284,11 @@ def exact(field, values):
     return field.p is not None or all(type(v.value) is Fraction for v in values)
 
 
-def qq_system(rows):
+def qq_system(rows, other=None):
     n = len(rows)
-    other = Matrix(rationals, [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+    if other is None:
+        other = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    other = Matrix(rationals, other)
     x0 = [rationals.scalar(Fraction(i + 1, 3)) for i in range(n)]
     return rationals, Matrix(rationals, rows), x0, [Fraction(1, 5)] * n, other
 
@@ -262,13 +301,27 @@ def qq_system(rows):
 @example(qq_system([[Fraction(2, 3), Fraction(4, 5), 1], [Fraction(1, 3), Fraction(2, 5), 3],
                     [3, 6, Fraction(5, 7)]]))
 @example(qq_system([[Fraction(2, 3), Fraction(4, 5)], [Fraction(1, 3), Fraction(2, 5)]]))
+# factors whose denominators are coprime, so that a product's scale is the
+# product of theirs; in the first, entries of the product also cancel
+@example(qq_system([[Fraction(1, 2), 0], [0, Fraction(1, 3)]],
+                   [[Fraction(4, 5), Fraction(2, 7)], [Fraction(3, 5), Fraction(9, 7)]]))
+@example(qq_system([[Fraction(1, 4), Fraction(3, 2), 1], [2, Fraction(1, 8), 0], [1, 1, Fraction(5, 2)]],
+                   [[Fraction(1, 3), 0, Fraction(2, 9)], [Fraction(1, 5), 1, 7],
+                    [Fraction(4, 15), Fraction(1, 9), Fraction(1, 7)]]))
 @given(square_systems())
 def test_elimination_against_independent_oracles(system):
     field, m, x0, rhs, other = system
     n = m.n
-    # products and images run the one v M kernel; compare entrywise sums
-    cols = list(zip(*other.rows))
-    assert (m * other).rows == tuple(tuple(dot(field, row, col) for col in cols) for row in m.rows)
+    # products and images run the one v M kernel; compare entrywise sums,
+    # also for a product of products, whose factors hold raw values only
+    def product_rows(a, b):
+        return tuple(tuple(dot(field, row, col) for col in zip(*b.rows)) for row in a.rows)
+
+    assert (m * other).rows == product_rows(m, other)
+    assert ((m * other) * (other * m)).rows == product_rows(Matrix(field, product_rows(m, other)),
+                                                          Matrix(field, product_rows(other, m)))
+    assert (m * other) * m == m * (other * m)
+    check_product(lambda: m * other * m, Matrix(field, product_rows(m * other, m)))
     assert m.apply(x0) == tuple(dot(field, x0, col) for col in zip(*m.rows))
     det = m.det()
     assert exact(field, [det])
