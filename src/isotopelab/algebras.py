@@ -305,7 +305,7 @@ def _exact_envelope_dimension(A: Algebra) -> int:
     products, each image a positive multiple of the rational one."""
     p = A.field.p
     if p is not None:
-        return _residue_envelope_dimension(_residues(A, p), p)
+        return _residue_envelope_dimension(A._tensor, p)
     n = A.n
     ops = [op for _, op in _operators(A._tensor)]
     gens = [Matrix._of_raw(A.field, op, A._scale) for op in ops]
@@ -318,12 +318,9 @@ def _exact_envelope_dimension(A: Algebra) -> int:
 
 
 def _residues(A: Algebra, p: int) -> tuple | None:
-    """The structure tensor as raw residues mod p, read off the stored raw
-    tensor: a gf p algebra's own (p must be its prime), or D c_ijk times
-    D^-1 mod p, which is None exactly when p divides D, that is, when p
-    divides a denominator."""
-    if A.field.p is not None:
-        return A._tensor
+    """A rational algebra's structure tensor as residues mod p, read off
+    the stored raw tensor: D c_ijk times D^-1 mod p, which is None exactly
+    when p divides D, that is, when p divides a denominator."""
     if not A._scale % p:
         return None
     inv = pow(A._scale, -1, p)
@@ -407,7 +404,7 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
         raise SearchBudgetExceededError(
             f"subspace enumeration infeasible for n = {A.n}, p = {p}"
         )
-    operators = [op for _, op in _operators(_residues(A, p))]
+    operators = [op for _, op in _operators(A._tensor)]
     return [] if _irreducible(operators, p) else _ideal_scan(A, operators, p)
 
 
@@ -583,8 +580,7 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
         raise SearchBudgetExceededError(
             f"matrix enumeration infeasible for n = {n}, p = {p}"
         )
-    ta = _residues(A, p)
-    tb = _residues(B, p)
+    ta, tb = A._tensor, B._tensor
     ua, ub = _unit_mod(ta, p), _unit_mod(tb, p)
     if (ua is None) != (ub is None):
         return None

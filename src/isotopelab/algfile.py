@@ -3,7 +3,7 @@
 Algebra grammar (``#`` starts a comment, blank lines ignored)::
 
     field rational          | field gf <p>
-    dim <n>
+    dim <n>                 # 1 <= n <= MAX_DIM
     names <id> ... <id>     # optional, n labels
     c <i> <j> <k> <value>   # 1-based indices, value int or num/den
                             # (no decimal or exponent form)
@@ -19,6 +19,9 @@ from .algebras import Algebra
 from .errors import DuplicateEntryError, ParseError
 from .fields import Field
 from .matrices import Matrix
+
+# the largest dim a file may declare: parsing builds the dense n^3 tensor
+MAX_DIM = 64
 
 
 def _strip(line: str) -> str:
@@ -69,6 +72,8 @@ def parse_algebra_text(text: str) -> Algebra:
                 raise ParseError("expected 'dim <n>'", lineno) from None
             if dim < 1:
                 raise ParseError("dimension must be >= 1", lineno)
+            if dim > MAX_DIM:
+                raise ParseError(f"dimension must be <= {MAX_DIM}, got {dim}", lineno)
         elif head == "names":
             if names is not None:
                 raise ParseError("names specified twice", lineno)

@@ -9,7 +9,7 @@ algebras is a triple of invertible maps (phi, psi, xi) with
 
 from __future__ import annotations
 
-from .algebras import Algebra, Element, _preserves_products
+from .algebras import Algebra, Element, _contract, _preserves_products
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -92,9 +92,8 @@ def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
         raise DimensionMismatchError("operator size does not match the algebra")
     if not all(_once(Matrix.is_invertible, (f,), (g,))):
         raise SingularMatrixError("isotope operators must be invertible")
-    table = [
-        [A.mul_coords(f.rows[i], g.rows[j]) for j in range(A.n)] for i in range(A.n)
-    ]
+    (fr, sf), (gr, sg) = f._raw_rows(), g._raw_rows()
+    table = [[A._scalars(_contract(A._tensor, u, v), sf * sg) for v in gr] for u in fr]
     return Algebra(A.field, table, names=A.names)
 
 

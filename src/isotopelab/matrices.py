@@ -24,11 +24,11 @@ from .records import FrozenRecord
 class Matrix:
     """Immutable square matrix of scalars over one field.
 
-    It holds its entries as Scalars (``rows``), in the raw form of
-    :func:`_raw` (residues mod p with scale 1, or integers over one
-    positive scale, not necessarily the least), or both, and builds either
-    form from the other the first time it is read.  Products run on the
-    raw form; ``apply``, ``det`` and ``inverse`` read Scalars."""
+    It holds its entries in the raw form of :func:`_raw` (residues mod p
+    with scale 1, or integers over one positive scale, not necessarily the
+    least) from construction on.  ``rows``, the Scalars, is a cache that a
+    product fills the first time it is read.  Products and ``det`` run on
+    the raw form; ``apply`` and ``inverse`` read Scalars."""
 
     __slots__ = ("field", "n", "_rows", "_ints", "_scale")
 
@@ -40,7 +40,9 @@ class Matrix:
         self.field = field
         self.n = n
         self._rows = rows
-        self._ints = None
+        vals, self._scale = _raw(field, [v for row in rows for v in row])
+        vals = iter(vals)
+        self._ints = tuple(zip(*[vals] * n))
 
     @classmethod
     def _of_raw(cls, field: Field, ints, scale: int) -> "Matrix":
@@ -58,10 +60,6 @@ class Matrix:
 
     def _raw_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The raw form: the rows of raw values and their common scale."""
-        if self._ints is None:
-            vals, self._scale = _raw(self.field, [v for row in self._rows for v in row])
-            vals = iter(vals)
-            self._ints = tuple(zip(*[vals] * self.n))
         return self._ints, self._scale
 
     @classmethod
@@ -103,21 +101,19 @@ class Matrix:
         return tuple(_combination(coords, self.rows, self.field.zero))
 
     def det(self) -> Scalar:
-        # each row, scaled to raw values, loses only multiples of earlier
-        # rows, so det is the product of the exact remainders' pivot values
-        # over the row scales, signed by the parity of the pivot order
+        # each raw row loses only multiples of earlier rows, so det is the
+        # product of the exact remainders' pivot values over scale^n, signed
+        # by the parity of the pivot order
         field = self.field
         rows, pivots = [], []
-        num, den = 1, 1
-        for row in self.rows:
-            vec, scale = _raw(field, row)
-            pval = _insert(vec, rows, pivots, field.p)
+        num = 1
+        for row in self._ints:
+            pval = _insert(row, rows, pivots, field.p)
             if pval is None:
                 return field.zero
             num *= pval
-            den *= scale
         inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-        return field.scalar(Fraction(-num if inversions % 2 else num, den))
+        return field.scalar(Fraction(-num if inversions % 2 else num, self._scale ** self.n))
 
     def is_invertible(self) -> bool:
         return bool(self.det())

@@ -171,7 +171,7 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
     out, scalar, new = [], None, object.__new__
     # a line is nil iff its leading-1 point is; the c-multiples of a block
     # lead with c, so its sorted groups for c = 1, 2, ... are in order
-    for lines in _nil_lines(_residues(A, p), p):
+    for lines in _nil_lines(A._tensor, p):
         if not lines:
             continue
         # built at the first nil line, whose multiples hold every nonzero residue

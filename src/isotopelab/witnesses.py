@@ -12,6 +12,7 @@ from .algebras import (
     Algebra,
     _envelope,
     _exact_envelope_dimension,
+    _operators,
     associator,
     find_unit,
     ideal_search_exhaustive,
@@ -39,7 +40,7 @@ from .isotopes import (
     standard_isotope,
     verify_isotopy,
 )
-from .matrices import Matrix, SpanTracker
+from .matrices import Matrix, SpanTracker, _combination
 from .nilpotents import nil_rank_exact_C
 
 
@@ -414,8 +415,9 @@ def witness_prop2(n: int, field: Field = QQ) -> Certificate:
         span.add(zi.coords)
     cert.expect_equal("Z = span(z_1 .. z_n) has dimension n", n, span.dim)
     cert.check("the unit lies outside Z", not span.contains(u.coords))
-    absorbed = all(span.contains((zi * bk).coords) and span.contains((bk * zi).coords)
-                   for zi in zs for bk in iso.basis())
+    # z e_b = z R_{e_b} and e_b z = z L_{e_b} on raw rows, as the ideal scan tests
+    absorbed = all(span.contains(_combination(z, op, 0))
+                   for _, op in _operators(iso._tensor) for z in span.rows)
     cert.check("Z absorbs multiplication by every basis element", absorbed)
     # Z is a proper nonzero ideal, so the envelope is not full and a pass mod
     # ENVELOPE_PRIME, which can only prove fullness, would decide nothing

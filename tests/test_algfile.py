@@ -15,6 +15,7 @@ from isotopelab import (
     j2,
 )
 from isotopelab.algfile import (
+    MAX_DIM,
     parse_algebra_file,
     parse_algebra_text,
     parse_element_coords,
@@ -84,6 +85,8 @@ def test_duplicate_entry_rejected():
         ("field rational\ndim 2\ndim 2\n", "line 3: dim specified twice"),
         ("field rational\ndim x\n", "line 2: expected 'dim <n>'"),
         ("field rational\ndim 0\n", "line 2: dimension must be >= 1"),
+        ("field rational\ndim 65\n", "line 2: dimension must be <= 64, got 65"),
+        ("field rational\ndim 2_000\n", "line 2: dimension must be <= 64, got 2000"),
         ("field rational\nnames a b\ndim 2\n", "line 2: names line before dim"),
         ("field rational\ndim 2\nc 1 1 1\n", "line 3: expected 'c <i> <j> <k> <value>'"),
         ("field rational\ndim 2\nc 1 x 1 1\n", "line 3: indices must be integers"),
@@ -93,6 +96,11 @@ def test_parse_errors_carry_messages(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_algebra_text(text)
     assert fragment in str(err.value)
+
+
+def test_largest_dim_parses():
+    A = parse_algebra_text(f"field gf 5\ndim {MAX_DIM}\nc 64 64 64 1\n")
+    assert MAX_DIM == 64 and A.n == 64 and A.table[63][63][63] == A.field.one
 
 
 def test_parse_error_line_numbers():

@@ -440,6 +440,24 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{big}"],
+    ["nilrank", "{big}"],
+    ["rmul", "{big}", "--elem", "1"],
+    ["isotope", "{big}", "--f", "{mat}", "-o", "{out}"],
+    ["express-rmul", "{big}", "--mat", "{mat}"],
+])
+def test_a_dimension_above_the_bound_exits_2(tmp_path, capsys, argv):
+    # refused at the dim line, before the n^3 tensor is built
+    paths = {"big": tmp_path / "big.alg", "mat": tmp_path / "one.mat", "out": tmp_path / "out.alg"}
+    paths["big"].write_text("field rational\ndim 2000\n")
+    paths["mat"].write_text("1\n")
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: line 2: dimension must be <= 64, got 2000\n"
+    assert not paths["out"].exists()
+
+
 def test_empty_witness_lists_print_none(tmp_path, capsys):
     # nil-rank 0: no nonzero nilpotent, so no witness; JSON keeps the empty list
     path = tmp_path / "one.alg"

@@ -203,6 +203,8 @@ def test_verify_isotopy_matches_the_definition(field, seed):
 
     B = transported(phi_inv, psi_inv, xi)
     assert verify_isotopy(A, B, Isotopy(phi, psi, xi))
+    assert principal_isotope(A, phi, psi).table == tuple(
+        tuple(A.mul_coords(phi.rows[i], psi.rows[j]) for j in range(n)) for i in range(n))
     C = transported(xi_inv, xi_inv, xi)
     assert verify_isomorphism(A, C, xi)
     bent = Matrix(field, [[xi.rows[0][0] + 1, *xi.rows[0][1:]], *xi.rows[1:]])

@@ -238,6 +238,9 @@ def check_product(make, plain):
     been read, against the matrix ``plain`` of the same entries."""
     field, p = plain.field, plain.field.p
     values = [[v.value for v in row] for row in plain.rows]
+    # det and is_invertible read the raw form and leave the rows unbuilt
+    det, prod = leibniz_det(field, plain.rows), make()
+    assert prod.det() == det and prod.is_invertible() == bool(det) and prod._rows is None
     # the raw form: residues with scale 1, or integers over a positive scale
     ints, scale = make()._raw_rows()
     if p is None:
