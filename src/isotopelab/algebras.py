@@ -111,12 +111,7 @@ class Algebra:
         """Coordinates of the product of two row vectors."""
         ru, su = _raw(self.field, u)
         rv, sv = _raw(self.field, v)
-        return self._scalars(_contract(self._tensor, ru, rv), su * sv)
-
-    def _scalars(self, vals, scale: int) -> tuple[Scalar, ...]:
-        """Scalars of raw values computed on the stored tensor from vectors
-        whose scales multiply to ``scale``: over QQ, over ``scale`` times D."""
-        return _scalars(self.field, vals, scale * self._scale)
+        return _scalars(self.field, _contract(self._tensor, ru, rv), su * sv * self._scale)
 
     def relabel(self, perm, names=None) -> "Algebra":
         """Permuted copy: old basis element i becomes new basis element perm[i]."""
@@ -209,16 +204,17 @@ class Element:
 
     def right_mult_matrix(self) -> Matrix:
         """Matrix of x -> x * self; row i is e_i * self = sum_j v_j c_ij."""
-        A = self.algebra
-        v, scale = _raw(A.field, self.coords)
-        return Matrix(A.field, [A._scalars(_combination(v, row, 0), scale) for row in A._tensor])
+        return self._mult_matrix(self.algebra._tensor)
 
     def left_mult_matrix(self) -> Matrix:
         """Matrix of x -> self * x; row i is self * e_i = sum_j v_j c_ji."""
+        return self._mult_matrix(zip(*self.algebra._tensor))
+
+    def _mult_matrix(self, rows) -> Matrix:
+        # row i is sum_j v_j rows[i][j] on the raw tensor, over s_v D
         A = self.algebra
         v, scale = _raw(A.field, self.coords)
-        return Matrix(A.field, [A._scalars(_combination(v, col, 0), scale)
-                                for col in zip(*A._tensor)])
+        return Matrix._of_raw(A.field, [_combination(v, row, 0) for row in rows], scale * A._scale)
 
     @property
     def is_zero(self) -> bool:
@@ -614,7 +610,7 @@ def isomorphism_search(A: Algebra, B: Algebra) -> Matrix | None:
     def extend() -> Matrix | None:
         r = len(xi)
         if r == n:
-            m = Matrix._of_raw(A.field, tuple(map(tuple, xi)), 1)
+            m = Matrix._of_raw(A.field, xi, 1)
             return m if verify_isomorphism(A, B, m) else None
         for row in _solutions(due[r], n, p):
             if square[r] is not None and any(d % p for d in square[r](row)):

@@ -95,8 +95,8 @@ def g_n(field: Field, n: int) -> Algebra:
     """Commutative algebra on (x_1, ..., x_n, e): the x_i span a
     zero-multiplication subalgebra, e^2 = e, x_1 e = e + x_2,
     x_i e = x_i + x_{i+1} for 2 <= i <= n - 1, and x_n e = x_n + x_1."""
-    if n < 2:
-        raise DomainError("the family needs n >= 2")
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"the family needs an integer n >= 2, got {n!r}")
     products = {(n, n): {n: 1}, (0, n): {n: 1, 1: 1}, (n - 1, n): {n - 1: 1, 0: 1}}
     products.update({(i, n): {i: 1, i + 1: 1} for i in range(1, n - 1)})
     return _commutative(field, tuple(f"x{i + 1}" for i in range(n)) + ("e",), products)

@@ -16,7 +16,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import Scalar
-from .matrices import Matrix, SolveResult, solve
+from .matrices import Matrix, SolveResult, _scalars, solve
 from .records import FrozenRecord
 
 
@@ -93,7 +93,8 @@ def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
     if not all(_once(Matrix.is_invertible, (f,), (g,))):
         raise SingularMatrixError("isotope operators must be invertible")
     (fr, sf), (gr, sg) = f._raw_rows(), g._raw_rows()
-    table = [[A._scalars(_contract(A._tensor, u, v), sf * sg) for v in gr] for u in fr]
+    table = [[_scalars(A.field, _contract(A._tensor, u, v), sf * sg * A._scale) for v in gr]
+             for u in fr]
     return Algebra(A.field, table, names=A.names)
 
 

@@ -46,10 +46,13 @@ class Matrix:
 
     @classmethod
     def _of_raw(cls, field: Field, ints, scale: int) -> "Matrix":
-        """The matrix with entries ``ints`` (n rows of n raw values) over
-        ``scale``; no Scalar is built until ``rows`` is read."""
+        """The matrix of ``ints`` (n rows of n integers) over ``scale``, reduced
+        mod p and copied into tuples: the one way raw values get into a
+        Matrix.  No Scalar is built until ``rows`` is read."""
+        p = field.p
         m = object.__new__(cls)
-        m.field, m.n, m._rows, m._ints, m._scale = field, len(ints), None, ints, scale
+        m._ints = tuple(tuple(row) if p is None else tuple(c % p for c in row) for row in ints)
+        m.field, m.n, m._rows, m._scale = field, len(m._ints), None, scale
         return m
 
     @property
@@ -86,12 +89,7 @@ class Matrix:
             raise DimensionMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
         # the product of the scales is a common scale, if not the least one
         (a, sa), (b, sb) = self._raw_rows(), other._raw_rows()
-        p = self.field.p
-        if p is None:
-            prod = tuple(tuple(_combination(row, b, 0)) for row in a)
-        else:
-            prod = tuple(tuple(c % p for c in _combination(row, b, 0)) for row in a)
-        return Matrix._of_raw(self.field, prod, sa * sb)
+        return Matrix._of_raw(self.field, [_combination(row, b, 0) for row in a], sa * sb)
 
     def apply(self, coords) -> tuple[Scalar, ...]:
         """Row vector times matrix: image of ``coords`` under this operator."""
@@ -243,10 +241,13 @@ def _combination(coeffs, rows, zero) -> list:
 
 def _raw(field: Field, vec) -> tuple[list[int], int]:
     """``vec`` as raw values and the factor it was scaled by: residues mod p
-    and 1, or over QQ the integers d vec and d, the lcm of the denominators."""
-    vals = [v.value if v.__class__ is Scalar and v.field is field else field.scalar(v).value
+    and 1, or over QQ the integers d vec and d, the lcm of the denominators.
+    Only values other than ints and Scalars of the field go through ``Field.scalar``."""
+    p = field.p
+    vals = [v.value if v.__class__ is Scalar and v.field is field else
+            (v if p is None else v % p) if v.__class__ is int else field.scalar(v).value
             for v in vec]
-    if field.p is not None:
+    if p is not None:
         return vals, 1
     nums, dens = zip(*[v.as_integer_ratio() for v in vals])
     d = lcm(*dens)
@@ -376,7 +377,7 @@ class SpanTracker:
     order, built by :func:`_insert`, the package's one elimination step.
 
     Each vector enters once as raw values (:func:`_raw`), and a vector
-    whose length differs from the first one's is a DimensionMismatchError.
+    whose length differs from the first one added is a DimensionMismatchError.
     :func:`rref` back-substitutes over its rows; ``dim`` is the rank.
     """
 
@@ -388,9 +389,7 @@ class SpanTracker:
 
     def _checked(self, vec) -> list[int]:
         raw = _raw(self.field, vec)[0]
-        if self.width is None:
-            self.width = len(raw)
-        if len(raw) != self.width:
+        if self.width is not None and len(raw) != self.width:
             raise DimensionMismatchError(f"length {len(raw)} in a span of width {self.width}")
         return raw
 
@@ -399,7 +398,9 @@ class SpanTracker:
 
     def add(self, vec) -> bool:
         """Insert ``vec``; True if it enlarged the span."""
-        return _insert(self._checked(vec), self.rows, self.pivots, self.field.p) is not None
+        raw = self._checked(vec)
+        self.width = len(raw)
+        return _insert(raw, self.rows, self.pivots, self.field.p) is not None
 
     @property
     def dim(self) -> int:

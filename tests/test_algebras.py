@@ -202,6 +202,14 @@ def test_noncommutative_products_against_triple_sum(case):
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     rv = A.element(v).right_mult_matrix()
     lv = A.element(v).left_mult_matrix()
+    # R_v and L_v hold the raw form only, residues in 0..p-1 over gf p,
+    # until rows is read; det reads the raw form over its scale s_v D
+    for m in (rv, lv):
+        assert m._rows is None
+        ints, scale = m._raw_rows()
+        if field.p:
+            assert scale == 1 and all(0 <= x < field.p for row in ints for x in row)
+        assert m.det() == Matrix(field, m.rows).det()
     for i, e in enumerate(units):
         assert [s.value for s in rv.rows[i]] == _values(field, _triple_sum(c, e, v))
         assert [s.value for s in lv.rows[i]] == _values(field, _triple_sum(c, v, e))

@@ -22,6 +22,8 @@ from isotopelab import (
     jordan_bilinear,
     to_canonical_C,
     verify_isomorphism,
+    witness_prop1,
+    witness_prop2,
 )
 
 QQ = Field.rationals()
@@ -99,6 +101,10 @@ def test_gn_relations_including_wraparound():
 def test_gn_needs_n_at_least_2():
     with pytest.raises(DomainError):
         g_n(QQ, 1)
+    # a float n passes the range guards but is no index range: refused by name
+    for make in (lambda: g_n(QQ, 2.0), lambda: witness_prop1(2.0), lambda: witness_prop2(2.0)):
+        with pytest.raises(DomainError, match="integer n >= 2, got 2.0"):
+            make()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from isotopelab import (
     rref,
     solve,
 )
-from isotopelab.matrices import _insert, _spin
+from isotopelab.matrices import _insert, _raw, _spin
 
 rationals = Field.rationals()
 f3 = Field.gf(3)
@@ -172,6 +172,27 @@ def test_span_tracker_fixes_its_width(field):
     assert tracker.contains([1, 1, 0]) and not tracker.contains([0, 0, 1])
     with pytest.raises(DimensionMismatchError):
         solve(field, [[1, 0], [1]], [0, 0])
+    # a query leaves the width open: only the first vector added fixes it
+    tracker = SpanTracker(field)
+    assert not tracker.contains([1, 2])
+    assert tracker.add([1, 2, 3]) and tracker.width == 3
+    with pytest.raises(DimensionMismatchError):
+        tracker.contains([1, 2])
+
+
+@pytest.mark.parametrize("field", [rationals, f5, Field.gf(999983)])
+def test_raw_reads_ints_without_field_scalar(field, monkeypatch):
+    # an int is a raw value already: negative ones and ones >= p scale as
+    # their Scalars do, next to a Scalar, and build no Scalar on the way
+    ints = [-7, 0, 3, 5, 12, 2 * 999983 + 1, -(10**20)]
+    half = field.scalar(Fraction(1, 2))
+    expected = _raw(field, [field.scalar(v) for v in ints] + [half])
+
+    def refuse(self, value):
+        raise AssertionError(f"Field.scalar({value!r}) called")
+
+    monkeypatch.setattr(Field, "scalar", refuse)
+    assert _raw(field, ints + [half]) == expected
 
 
 INPUT_CHECKS = {
@@ -261,6 +282,15 @@ def check_product(make, plain):
         assert twin == plain and hash(twin) == hash(plain)
     with pytest.raises(AttributeError):
         make().rows = plain.rows
+    # _of_raw copies the lists it is handed (and reduces them over gf p):
+    # editing them afterwards leaves the matrix as it was
+    lists = [[v + 3 * (p or 0) for v in row] for row in make()._raw_rows()[0]]
+    copied = Matrix._of_raw(field, lists, make()._raw_rows()[1])
+    for row in lists:
+        row[0] += 1
+    lists.append(lists[0])
+    assert copied == plain and copied.n == plain.n
+    assert copied._raw_rows() == make()._raw_rows()
 
 
 @st.composite
