@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DimensionMismatchError,
@@ -55,42 +56,59 @@ def _operators(tensor) -> list[tuple[int, list]]:
 class Algebra:
     """Structure-constant algebra over an exact field.
 
-    Besides ``table``, the tensor of Scalars, it keeps the same tensor once
-    as raw values, as :func:`~isotopelab.matrices._raw` scales a vector:
-    residues mod p with scale 1, or over QQ the integers D c_ijk with D, the
-    scale, the lcm of all denominators.  Products run on these."""
+    From construction on it holds its tensor as :func:`~isotopelab.matrices._raw`
+    scales a vector: residues mod p with scale 1, or over QQ the integers
+    D c_ijk over D, the least common denominator.  Products run on these;
+    ``table``, the tensor of Scalars, is a cache built when first read."""
 
-    __slots__ = ("field", "n", "table", "names", "_tensor", "_scale")
+    __slots__ = ("field", "n", "names", "_table", "_tensor", "_scale")
 
     def __init__(self, field: Field, table, names=None):
-        tab = tuple(
-            tuple(tuple(field.scalar(v) for v in cell) for cell in row) for row in table
-        )
-        n = len(tab)
+        n = len(table)
         if n == 0:
             raise DimensionMismatchError("dimension must be >= 1")
-        for row in tab:
+        for row in table:
             if len(row) != n or any(len(cell) != n for cell in row):
                 raise DimensionMismatchError("structure tensor must be n x n x n")
-        self.field = field
-        self.n = n
-        self.table = tab
-        self.names = tuple(names) if names is not None else None
-        if self.names is not None and len(self.names) != n:
-            raise DimensionMismatchError("need one name per basis element")
-        raw, self._scale = _raw(field, [c for row in tab for cell in row for c in cell])
+        raw, scale = _raw(field, [c for row in table for cell in row for c in cell])
         raw = iter(raw)
         # zip(*[it] * n) groups an iterator in n-tuples: the cells, then the rows
-        self._tensor = tuple(zip(*[zip(*[raw] * n)] * n))
+        self._set(field, tuple(zip(*[zip(*[raw] * n)] * n)), scale, names)
+
+    @classmethod
+    def _of_raw(cls, field: Field, tensor, scale: int, names=None) -> "Algebra":
+        """The algebra of ``tensor`` (n x n x n integers) over ``scale``, 1 over
+        gf p: the one way raw values get into an Algebra.  It reduces them mod
+        p, or over QQ divides them and the scale by their gcd, so that
+        ``__eq__`` and ``__hash__`` read the least raw form."""
+        p = field.p
+        g = 1 if p else gcd(scale, *(c for row in tensor for cell in row for c in cell))
+        A = object.__new__(cls)
+        A._set(field, tuple(tuple(tuple(c % p if p else c // g for c in cell) for cell in row)
+                            for row in tensor), scale // g, names)
+        return A
+
+    def _set(self, field: Field, tensor: tuple, scale: int, names) -> None:
+        self.field, self.n, self._tensor, self._scale, self._table = (
+            field, len(tensor), tensor, scale, None)
+        self.names = tuple(names) if names is not None else None
+        if self.names is not None and len(self.names) != self.n:
+            raise DimensionMismatchError("need one name per basis element")
+
+    @property
+    def table(self) -> tuple:
+        if self._table is None:
+            self._table = tuple(tuple(_scalars(self.field, cell, self._scale) for cell in row)
+                                for row in self._tensor)
+        return self._table
 
     @classmethod
     def from_products(cls, field: Field, n: int, products: dict, names=None) -> "Algebra":
         """Build from a sparse map ``(i, j) -> coordinate vector`` (0-based);
         missing pairs multiply to zero."""
-        zero_vec = [field.zero] * n
-        table = [[list(zero_vec) for _ in range(n)] for _ in range(n)]
+        table = [[(0,) * n] * n for _ in range(n)]
         for (i, j), vec in products.items():
-            table[i][j] = [field.scalar(v) for v in vec]
+            table[i][j] = vec
         return cls(field, table, names=names)
 
     def element(self, coords) -> "Element":
@@ -157,7 +175,9 @@ class Element:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: Algebra, coords):
-        coords = tuple(algebra.field.scalar(v) for v in coords)
+        field = algebra.field
+        coords = tuple(v if v.__class__ is Scalar and v.field is field else field.scalar(v)
+                       for v in coords)
         if len(coords) != algebra.n:
             raise DimensionMismatchError("coordinate length does not match the algebra")
         self.algebra = algebra
@@ -253,12 +273,10 @@ def find_unit(A: Algebra) -> Element | None:
     and u L_{e_b} = e_b u = e_b for every operator :func:`_operators` tags b.
     It leaves out only the L_{e_b} equal to R_{e_b}, so every solution has
     u e_b = e_b u = e_b for all b: it is the unit, with R_u = L_u = I."""
-    field, n = A.field, A.n
-    one, zero = field.one, field.zero
-    ops = _operators(A.table)
+    n, ops = A.n, _operators(A._tensor)  # on the raw tensor D c: u (D R_{e_b}) = D e_b
     rows = [[op[i][k] for i in range(n)] for _, op in ops for k in range(n)]
-    rhs = [one if b == k else zero for b, _ in ops for k in range(n)]
-    sol = solve(field, rows, rhs)
+    rhs = [A._scale if b == k else 0 for b, _ in ops for k in range(n)]
+    sol = solve(A.field, rows, rhs)
     return None if sol is None else A.element(sol.point)
 
 
@@ -291,8 +309,9 @@ def is_jordan(A: Algebra) -> bool:
     return True
 
 
-# Rational envelopes are first computed modulo this prime (see envelope_dimension).
-ENVELOPE_PRIME = 2**31 - 1
+# Rational envelopes are first computed modulo this prime (see envelope_dimension),
+# the largest below 2^15, so that residues and their products are single-digit ints.
+ENVELOPE_PRIME = 32749
 
 
 def _exact_envelope_dimension(A: Algebra) -> int:
@@ -455,13 +474,22 @@ def _ideal_scan(A: Algebra, operators, p: int) -> list[tuple[Element, ...]]:
     return found
 
 
+def _isotope_tensor(tensor, f, g) -> list:
+    """The raw tensor T[i][j] = f_i g_j of the rows f_i, g_j of raw values,
+    unreduced, in two stages: M_i[b] = sum_a f_ia c_ab., then T[i][j] =
+    sum_b g_jb M_i[b].  O(n^4) where one contraction per pair is O(n^5)."""
+    columns = list(zip(*tensor))  # columns[b][a] = c_ab.
+    return [[_combination(gj, m, 0) for gj in g]
+            for m in ([_combination(fi, col, 0) for col in columns] for fi in f)]
+
+
 def _preserves_products(A: Algebra, B: Algebra, phi: Matrix, psi: Matrix, xi: Matrix) -> bool:
     """Whether (e_i phi)(e_j psi) = (e_i e_j) xi in B for every basis pair of
     A (enough, by bilinearity); the maps share one field and size.  Both
     sides are compared on raw values: with f_i, g_j, x the raw rows of
     phi, psi, xi over the scales s_f, s_g, s_x, and D_A, D_B the tensor
     scales, (f_i g_j) D_A s_x = (c_ij x) D_B s_f s_g, exactly over QQ and
-    mod p over gf p."""
+    mod p over gf p; the left side is B's (phi, psi) isotope tensor."""
     if A.field is not B.field or A.n != B.n:
         return False
     if phi.field is not A.field or phi.n != A.n:
@@ -471,11 +499,9 @@ def _preserves_products(A: Algebra, B: Algebra, phi: Matrix, psi: Matrix, xi: Ma
     p = A.field.p
     return not any(
         (d % p if p else d)
-        for i in range(A.n)
-        for j in range(A.n)
-        for d in (u * left - v * right
-                  for u, v in zip(_contract(B._tensor, f[i], g[j]),
-                                  _combination(A._tensor[i][j], x, 0)))
+        for t_row, a_row in zip(_isotope_tensor(B._tensor, f, g), A._tensor)
+        for t, cell in zip(t_row, a_row)
+        for d in (u * left - v * right for u, v in zip(t, _combination(cell, x, 0)))
     )
 
 

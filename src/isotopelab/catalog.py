@@ -65,7 +65,7 @@ def jordan_bilinear(field: Field, gram) -> Algebra:
 def j2(field: Field) -> Algebra:
     """<1, x, y | x^2 = y^2 = 0, xy = yx = 1>."""
     A = jordan_bilinear(field, [[0, 1], [1, 0]])
-    return Algebra(field, A.table, names=("1", "x", "y"))
+    return Algebra._of_raw(field, A._tensor, A._scale, ("1", "x", "y"))
 
 
 def c_family(field: Field, alpha, beta, gamma) -> Algebra:

@@ -9,14 +9,14 @@ algebras is a triple of invertible maps (phi, psi, xi) with
 
 from __future__ import annotations
 
-from .algebras import Algebra, Element, _contract, _preserves_products
+from .algebras import Algebra, Element, _isotope_tensor, _preserves_products
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     SingularMatrixError,
 )
 from .fields import Scalar
-from .matrices import Matrix, SolveResult, _scalars, solve
+from .matrices import Matrix, SolveResult, solve
 from .records import FrozenRecord
 
 
@@ -93,9 +93,7 @@ def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
     if not all(_once(Matrix.is_invertible, (f,), (g,))):
         raise SingularMatrixError("isotope operators must be invertible")
     (fr, sf), (gr, sg) = f._raw_rows(), g._raw_rows()
-    table = [[_scalars(A.field, _contract(A._tensor, u, v), sf * sg * A._scale) for v in gr]
-             for u in fr]
-    return Algebra(A.field, table, names=A.names)
+    return Algebra._of_raw(A.field, _isotope_tensor(A._tensor, fr, gr), sf * sg * A._scale, A.names)
 
 
 def standard_isotope(A: Algebra, f: Matrix) -> Algebra:

@@ -117,12 +117,11 @@ class Matrix:
         return bool(self.det())
 
     def inverse(self) -> "Matrix":
-        # the reduced echelon form of [M | I] is [I | M^-1] exactly when M is
-        # invertible; otherwise a pivot falls into the right half
-        n = self.n
-        one, zero = self.field.one, self.field.zero
-        rows, pivots = rref(self.field, [row + tuple(one if i == j else zero for j in range(n))
-                                         for i, row in enumerate(self.rows)])
+        # with M = R / s, [R | s I] reduces to [I | s R^-1] = [I | M^-1] exactly
+        # when M is invertible; otherwise a pivot falls into the right half
+        n, s = self.n, self._scale
+        rows, pivots = rref(self.field, [row + tuple(s if i == j else 0 for j in range(n))
+                                         for i, row in enumerate(self._ints)])
         if pivots[-1] != n - 1:
             raise SingularMatrixError("matrix is singular")
         return Matrix(self.field, [r[n:] for r in rows])

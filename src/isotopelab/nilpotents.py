@@ -280,5 +280,5 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
             p += 2
     elif (tensor := _residues(A, p)) is None:
         raise DomainError(f"structure constants are not reducible mod {p}")
-    report = nil_rank_bruteforce(Algebra(Field.gf(p), tensor, names=A.names))
+    report = nil_rank_bruteforce(Algebra._of_raw(Field.gf(p), tensor, 1, A.names))
     return NilReport(report.rank, report.witnesses, report.method, report.closure_caveat, p)

@@ -103,6 +103,10 @@ INPUT_CHECKS = {
     "coordinates over gf 5 in a product": (
         FieldMismatchError, lambda: J_QQ.mul_coords([F5.one] * 3, [1, 0, 0])
     ),
+    "an element with a coordinate over gf 5": (
+        FieldMismatchError, lambda: J_QQ.element([QQ.one, F5.one, QQ.zero])
+    ),
+    "a structure constant over gf 5": (FieldMismatchError, lambda: Algebra(QQ, [[[F5.one]]])),
     "element + int": (TypeError, lambda: E0 + 1),
     "element - int": (TypeError, lambda: E0 - 1),
     "element * float": (TypeError, lambda: E0 * 1.5),
@@ -253,6 +257,37 @@ def test_equal_algebras_from_different_inputs():
     # the raw integers of halves and of ints agree; only the scale tells them apart
     assert Algebra(QQ, halves)._tensor == Algebra(QQ, ints)._tensor
     assert Algebra(QQ, halves) != Algebra(QQ, ints)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_raw_first_algebra_builds_no_scalars(field, monkeypatch):
+    # ints and Scalars of the field are raw values already: building from
+    # them, or from raw values over a scale that is not the least one, goes
+    # through no Field.scalar, and neither does reading the table
+    ints = [[[1, 0, -2], [0, 3, 0], [7, 0, 0]], [[0, 3, 0], [1, 1, 0], [0, 0, 2]],
+            [[7, 0, 0], [0, 0, 2], [2, 0, -1]]]
+    scalars = [[[field.scalar(x) for x in cell] for cell in row] for row in ints]
+    # 6 x over 6 over QQ, x + 10 over gf 5, whose scale is always 1
+    raw = [[[6 * x if field.p is None else x + 10 for x in cell] for cell in row] for row in ints]
+    expected = Algebra(field, scalars)
+    table = expected.table
+
+    def refuse(self, value):
+        raise AssertionError(f"Field.scalar({value!r}) called")
+
+    monkeypatch.setattr(Field, "scalar", refuse)
+    built = [
+        Algebra(field, ints),
+        Algebra(field, scalars),
+        Algebra.from_products(field, 3, {(i, j): ints[i][j] for i in range(3) for j in range(3)}),
+        Algebra._of_raw(field, raw, 6 if field.p is None else 1),
+    ]
+    for A in built:
+        assert A == expected and hash(A) == hash(expected)
+        assert A._tensor == expected._tensor and A._scale == expected._scale
+        assert A._table is None and A.table == table and A.table is A.table
+        with pytest.raises(AttributeError):
+            A.table = table
 
 
 def _expected_operators(A):
@@ -670,6 +705,9 @@ def test_envelope_dimension_matches_exact_oracle(A):
 
 def test_envelope_names_the_prime_only_when_it_decided():
     assert _envelope(g_n(QQ, 2)) == (9, ENVELOPE_PRIME)
+    # alpha = P is 0 mod P, where the span of x and y is an ideal, but C(P, 1, 1)
+    # is simple over QQ: the closure mod P is not full and the exact one decides
+    assert _envelope(c_family(QQ, ENVELOPE_PRIME, 1, 1)) == (9, None)
     assert _envelope(g_n(F5, 2)) == (9, None)
     for A in G2_SCALED:
         assert _envelope(A) == (9, None)
@@ -971,7 +1009,7 @@ def test_unit_mod_matches_find_unit():
 
 
 @pytest.mark.parametrize("den", [1, 3, 5, 9])
-@pytest.mark.parametrize("p", [3, 5, 7, ENVELOPE_PRIME])
+@pytest.mark.parametrize("p", [3, 5, 7, ENVELOPE_PRIME, 2**31 - 1])
 def test_residues_match_entrywise_reduction(den, p):
     rng = random.Random(den * p)
     c = [[[Fraction(rng.randint(-20, 20), rng.choice((1, den))) for _ in range(3)]

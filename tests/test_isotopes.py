@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from isotopelab import (
     Algebra,
@@ -215,6 +217,47 @@ def test_verify_isotopy_matches_the_definition(field, seed):
     for m in (bent, xi * two, phi):
         if m.is_invertible():
             assert verify_isomorphism(A, C, m) == preserves_on_scalars(A, C, m, m, m)
+
+
+@st.composite
+def isotope_cases(draw):
+    """A tensor and maps f (a product, so over a scale that need not be the
+    least) and g whose denominators differ from each other's and the
+    tensor's, over QQ, gf 5 or gf 11, for n = 1..4."""
+    field = draw(st.sampled_from([QQ, F5, Field.gf(11)]))
+    n = draw(st.integers(1, 4))
+
+    def values(count, dens):
+        return draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from(dens)),
+                             min_size=count, max_size=count))
+
+    def matrix(dens):
+        flat = values(n * n, dens)
+        return Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
+
+    flat = values(n**3, (1, 7))
+    A = Algebra(field, [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+                        for i in range(n)])
+    return A, matrix((1, 2)) * matrix((1, 4)), matrix((1, 3, 9))
+
+
+@given(isotope_cases())
+def test_isotope_contraction_matches_the_definition(case):
+    # the two-stage contraction against the O(n^5) sum over (a, b) on Scalars:
+    # e_i * e_j = sum_{a,b} f_ia g_jb e_a e_b
+    A, f, g = case
+    assume(f.is_invertible() and g.is_invertible())
+    field, n, c = A.field, A.n, A.table
+    expected = tuple(tuple(tuple(
+        sum((f.rows[i][a] * g.rows[j][b] * c[a][b][k] for a in range(n) for b in range(n)),
+            field.zero) for k in range(n)) for j in range(n)) for i in range(n))
+    iso = principal_isotope(A, f, g)
+    assert iso.table == expected
+    # the raw form is the least one, as a construction from the Scalars gives
+    twin = Algebra(field, iso.table)
+    assert iso == twin and hash(iso) == hash(twin)
+    assert iso._tensor == twin._tensor and iso._scale == twin._scale
+    assert verify_isotopy(iso, A, Isotopy.from_isotope(f, g))
 
 
 def test_isotopy_requires_invertible_maps():

@@ -341,6 +341,8 @@ def qq_system(rows, other=None):
 @example(qq_system([[Fraction(1, 4), Fraction(3, 2), 1], [2, Fraction(1, 8), 0], [1, 1, Fraction(5, 2)]],
                    [[Fraction(1, 3), 0, Fraction(2, 9)], [Fraction(1, 5), 1, 7],
                     [Fraction(4, 15), Fraction(1, 9), Fraction(1, 7)]]))
+# a product equal to 1, held as 2 I over the scale 2
+@example(qq_system([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], [[2, 0], [0, 2]]))
 @given(square_systems())
 def test_elimination_against_independent_oracles(system):
     field, m, x0, rhs, other = system
@@ -367,6 +369,12 @@ def test_elimination_against_independent_oracles(system):
     else:
         with pytest.raises(SingularMatrixError):
             m.inverse()
+    # inverse reads the raw form, whose scale need not be the least one
+    prod = m * other
+    if prod.det():
+        inv = prod.inverse()
+        assert inv == Matrix(field, prod.rows).inverse()
+        assert prod * inv == Matrix.identity(field, n)
     consistent_rhs = [dot(field, row, x0) for row in m.rows]
     assert solve(field, m.rows, consistent_rhs) is not None
     for b in (consistent_rhs, rhs):
