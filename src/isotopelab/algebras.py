@@ -135,17 +135,12 @@ class Algebra:
         """Permuted copy: old basis element i becomes new basis element perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise DomainError("relabel requires a permutation of 0..n-1")
-        zero = self.field.zero
-        table = [[[zero] * self.n for _ in range(self.n)] for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                for k, c in enumerate(self.table[i][j]):
-                    table[perm[i]][perm[j]][perm[k]] = c
+        inv = sorted(range(self.n), key=perm.__getitem__)  # perm[inv[a]] = a
         if names is None and self.names is not None:
-            names = [None] * self.n
-            for i in range(self.n):
-                names[perm[i]] = self.names[i]
-        return Algebra(self.field, table, names=names)
+            names = [self.names[i] for i in inv]
+        t = self._tensor
+        tensor = [[[t[i][j][k] for k in inv] for j in inv] for i in inv]
+        return Algebra._of_raw(self.field, tensor, self._scale, names)
 
     def nonzero_entries(self):
         """Yield ``(i, j, k, scalar)`` for every nonzero tensor entry (0-based)."""
@@ -327,7 +322,7 @@ def _exact_envelope_dimension(A: Algebra) -> int:
 
     def images(v):
         m = Matrix._of_raw(A.field, [v[i * n:(i + 1) * n] for i in range(n)], 1)
-        return ([c for row in (m * g)._raw_rows()[0] for c in row] for g in gens)
+        return ([c for row in (m * g)._ints for c in row] for g in gens)
 
     return len(_spin([[c for row in op for c in row] for op in ops], images, n * n)[0])
 
@@ -494,8 +489,8 @@ def _preserves_products(A: Algebra, B: Algebra, phi: Matrix, psi: Matrix, xi: Ma
         return False
     if phi.field is not A.field or phi.n != A.n:
         return False
-    (f, sf), (g, sg), (x, sx) = phi._raw_rows(), psi._raw_rows(), xi._raw_rows()
-    left, right = A._scale * sx, B._scale * sf * sg
+    f, g, x = phi._ints, psi._ints, xi._ints
+    left, right = A._scale * xi._scale, B._scale * phi._scale * psi._scale
     p = A.field.p
     return not any(
         (d % p if p else d)

@@ -21,15 +21,14 @@ from .records import FrozenRecord
 
 
 def _once(fn, *calls) -> list:
-    """``fn(*c)`` for each argument tuple c, computed once per tuple of the
-    same objects: a map given twice is checked, inverted or multiplied once.
-    Told apart by identity, as hashing a Matrix would hash every Scalar."""
+    """``fn(*c)`` for each argument tuple c, computed once per tuple of equal
+    maps: a map given twice, as one object or as two equal ones, is checked,
+    inverted or multiplied once.  A Matrix hash reads no Scalar."""
     done = {}
     for c in calls:
-        key = tuple(map(id, c))
-        if key not in done:
-            done[key] = fn(*c)
-    return [done[tuple(map(id, c))] for c in calls]
+        if c not in done:
+            done[c] = fn(*c)
+    return [done[c] for c in calls]
 
 
 class Isotopy(FrozenRecord):
@@ -92,8 +91,8 @@ def principal_isotope(A: Algebra, f: Matrix, g: Matrix) -> Algebra:
         raise DimensionMismatchError("operator size does not match the algebra")
     if not all(_once(Matrix.is_invertible, (f,), (g,))):
         raise SingularMatrixError("isotope operators must be invertible")
-    (fr, sf), (gr, sg) = f._raw_rows(), g._raw_rows()
-    return Algebra._of_raw(A.field, _isotope_tensor(A._tensor, fr, gr), sf * sg * A._scale, A.names)
+    return Algebra._of_raw(A.field, _isotope_tensor(A._tensor, f._ints, g._ints),
+                           f._scale * g._scale * A._scale, A.names)
 
 
 def standard_isotope(A: Algebra, f: Matrix) -> Algebra:
@@ -120,9 +119,10 @@ def right_mult_fibre(A: Algebra, m: Matrix) -> SolveResult | None:
     needs all n L_{e_i}, so it reads them straight off the tensor."""
     if m.field is not A.field or m.n != A.n:
         raise DimensionMismatchError("matrix does not match the algebra")
-    n = A.n
-    rows = [[cell[k] for cell in A.table[i]] for i in range(n) for k in range(n)]
-    rhs = [v for row in m.rows for v in row]
+    # on the raw tensor D c and m = M / s: sum_j g_j (s D c_ijk) = D M_ik
+    n, s = A.n, m._scale
+    rows = [[s * cell[k] for cell in A._tensor[i]] for i in range(n) for k in range(n)]
+    rhs = [A._scale * v for row in m._ints for v in row]
     return solve(A.field, rows, rhs)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import (
@@ -24,35 +25,38 @@ from .records import FrozenRecord
 class Matrix:
     """Immutable square matrix of scalars over one field.
 
-    It holds its entries in the raw form of :func:`_raw` (residues mod p
-    with scale 1, or integers over one positive scale, not necessarily the
-    least) from construction on.  ``rows``, the Scalars, is a cache that a
-    product fills the first time it is read.  Products and ``det`` run on
-    the raw form; ``apply`` and ``inverse`` read Scalars."""
+    As :class:`~isotopelab.algebras.Algebra` holds its tensor, it holds its
+    entries only in the least raw form of :func:`_raw`: residues mod p with
+    scale 1, or over QQ integers over a positive scale sharing no factor
+    with all of them.  Products, ``det``, ``==``, ``hash`` and pickles read
+    that form; ``rows``, the Scalars, is a cache built when first read."""
 
     __slots__ = ("field", "n", "_rows", "_ints", "_scale")
 
     def __init__(self, field: Field, rows):
-        rows = tuple(tuple(field.scalar(v) for v in row) for row in rows)
+        rows = [tuple(row) for row in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatchError("matrix must be square and nonempty")
-        self.field = field
-        self.n = n
-        self._rows = rows
+        self.field, self.n, self._rows = field, n, None
+        # _raw's lcm of the denominators is already the least scale
         vals, self._scale = _raw(field, [v for row in rows for v in row])
         vals = iter(vals)
         self._ints = tuple(zip(*[vals] * n))
 
     @classmethod
     def _of_raw(cls, field: Field, ints, scale: int) -> "Matrix":
-        """The matrix of ``ints`` (n rows of n integers) over ``scale``, reduced
-        mod p and copied into tuples: the one way raw values get into a
-        Matrix.  No Scalar is built until ``rows`` is read."""
+        """The matrix of ``ints`` (n rows of n integers) over ``scale``, 1 over
+        gf p: the one way raw values get into a Matrix.  It copies them into
+        tuples, reduced mod p, or over QQ divided with the scale by their gcd,
+        so that ``__eq__`` and ``__hash__`` read the least raw form."""
         p = field.p
+        g = 1 if p else gcd(scale, *chain.from_iterable(ints))
         m = object.__new__(cls)
-        m._ints = tuple(tuple(row) if p is None else tuple(c % p for c in row) for row in ints)
-        m.field, m.n, m._rows, m._scale = field, len(m._ints), None, scale
+        m.field, m.n, m._rows, m._scale = field, len(ints), None, scale // g
+        # most rational products are in least terms already: copy those as they are
+        m._ints = (tuple(map(tuple, ints)) if g == 1 and not p else
+                   tuple(tuple(c % p if p else c // g for c in row) for row in ints))
         return m
 
     @property
@@ -61,13 +65,9 @@ class Matrix:
             self._rows = tuple(_scalars(self.field, row, self._scale) for row in self._ints)
         return self._rows
 
-    def _raw_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The raw form: the rows of raw values and their common scale."""
-        return self._ints, self._scale
-
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls.diagonal(field, [field.one] * n)
+        return cls.diagonal(field, [1] * n)
 
     @classmethod
     def scalar_matrix(cls, field: Field, n: int, value) -> "Matrix":
@@ -75,10 +75,9 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, field: Field, values) -> "Matrix":
-        vals = [field.scalar(v) for v in values]
-        zero = field.zero
+        vals = list(values)
         n = len(vals)
-        return cls(field, [[vals[i] if i == j else zero for j in range(n)] for i in range(n)])
+        return cls(field, [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -88,8 +87,9 @@ class Matrix:
         if self.n != other.n:
             raise DimensionMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
         # the product of the scales is a common scale, if not the least one
-        (a, sa), (b, sb) = self._raw_rows(), other._raw_rows()
-        return Matrix._of_raw(self.field, [_combination(row, b, 0) for row in a], sa * sb)
+        b = other._ints
+        return Matrix._of_raw(self.field, [_combination(row, b, 0) for row in self._ints],
+                              self._scale * other._scale)
 
     def apply(self, coords) -> tuple[Scalar, ...]:
         """Row vector times matrix: image of ``coords`` under this operator."""
@@ -127,19 +127,21 @@ class Matrix:
         return Matrix(self.field, [r[n:] for r in rows])
 
     def rank(self) -> int:
-        return row_rank(self.field, self.rows)
+        return row_rank(self.field, self._ints)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field is other.field and self.rows == other.rows
+        # the least raw form determines the entries
+        return (self.field is other.field and self._scale == other._scale
+                and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self._scale, self._ints))
 
     def __reduce__(self):
-        # pickles and copies depend on the entries only, not on the forms held
-        return Matrix, (self.field, self.rows)
+        # pickles and copies hold the least raw form only, never the Scalar cache
+        return Matrix._of_raw, (self.field, self._ints, self._scale)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows) + "]"
@@ -198,7 +200,7 @@ def solve(field: Field, rows, rhs) -> SolveResult | None:
     """
 
     rows = [list(r) for r in rows]
-    rhs = [field.scalar(v) for v in rhs]
+    rhs = list(rhs)
     if len(rows) != len(rhs):
         raise DimensionMismatchError("system rows and right-hand side differ in length")
     if not rows:

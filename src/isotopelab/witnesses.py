@@ -361,7 +361,7 @@ def witness_theorem2(field: Field = QQ) -> Certificate:
     return cert
 
 
-# prop1 and prop2 run G_n for 2 <= n <= _G_N_MAX
+# prop1 and prop2 run G_n for 2 <= n <= _G_N_MAX; g_n refuses a non-int n
 _G_N_MAX = 8
 
 
@@ -369,7 +369,7 @@ def witness_prop1(n: int, field: Field = QQ) -> Certificate:
     """The (n+1)-dimensional algebra with an n-dimensional
     zero-multiplication subalgebra is simple: its multiplication envelope is
     the full matrix algebra."""
-    if not 2 <= n <= _G_N_MAX:
+    if isinstance(n, int) and not 2 <= n <= _G_N_MAX:
         raise SearchBudgetExceededError(f"feasible range is 2 <= n <= {_G_N_MAX}")
     G = g_n(field, n)
     cert = Certificate(f"prop1: G_{n} is simple")
@@ -394,7 +394,7 @@ def witness_prop2(n: int, field: Field = QQ) -> Certificate:
     the standard isotope of G_n by R_e^-1 is unital with unit e^2 and
     contains the n-dimensional zero-multiplication ideal spanned by the
     x_i R_e."""
-    if not 2 <= n <= _G_N_MAX:
+    if isinstance(n, int) and not 2 <= n <= _G_N_MAX:
         raise SearchBudgetExceededError(f"feasible range is 2 <= n <= {_G_N_MAX}")
     G = g_n(field, n)
     cert = Certificate(f"prop2: the R_e^-1 isotope of G_{n} is not simple")

@@ -34,6 +34,7 @@ from isotopelab import (
     span_rank,
     verify_isomorphism,
 )
+from isotopelab import algebras
 from isotopelab.algebras import ENVELOPE_PRIME, _envelope, _operators, _residues, _unit_mod
 from isotopelab.algfile import parse_algebra_file
 from isotopelab.fields import _residue
@@ -210,7 +211,7 @@ def test_noncommutative_products_against_triple_sum(case):
     # until rows is read; det reads the raw form over its scale s_v D
     for m in (rv, lv):
         assert m._rows is None
-        ints, scale = m._raw_rows()
+        ints, scale = m._ints, m._scale
         if field.p:
             assert scale == 1 and all(0 <= x < field.p for row in ints for x in row)
         assert m.det() == Matrix(field, m.rows).det()
@@ -288,6 +289,29 @@ def test_raw_first_algebra_builds_no_scalars(field, monkeypatch):
         assert A._table is None and A.table == table and A.table is A.table
         with pytest.raises(AttributeError):
             A.table = table
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_relabel_permutes_the_raw_tensor(field, monkeypatch):
+    # relabel moves raw values only, building no Scalar, and a permutation
+    # followed by its inverse gives back A, names and all
+    tensor = [[[HALF, 0, 3], [0, 1, 0], [2, 0, 0]], [[0, -1, 0], [THIRD, 1, 0], [0, 0, 2]],
+              [[7, 0, 0], [0, 0, 2], [2, 0, HALF]]]
+    A = Algebra(field, tensor, names=("a", "b", "c"))
+    perm, inverse = (2, 0, 1), (1, 2, 0)
+    expected = {(perm[i], perm[j], perm[k]): c for i, j, k, c in A.nonzero_entries()}
+
+    def refuse(*args):
+        raise AssertionError("a Scalar was built")
+
+    monkeypatch.setattr(Field, "scalar", refuse)
+    monkeypatch.setattr(algebras, "_scalars", refuse)
+    B = A.relabel(perm)
+    back = B.relabel(inverse)
+    assert B._table is None and back._table is None
+    assert back == A and back.names == A.names and B.names == ("b", "c", "a")
+    monkeypatch.undo()
+    assert {(i, j, k): c for i, j, k, c in B.nonzero_entries()} == expected
 
 
 def _expected_operators(A):

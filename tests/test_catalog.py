@@ -20,6 +20,7 @@ from isotopelab import (
     g_n,
     j2,
     jordan_bilinear,
+    run_witness,
     to_canonical_C,
     verify_isomorphism,
     witness_prop1,
@@ -101,10 +102,14 @@ def test_gn_relations_including_wraparound():
 def test_gn_needs_n_at_least_2():
     with pytest.raises(DomainError):
         g_n(QQ, 1)
-    # a float n passes the range guards but is no index range: refused by name
-    for make in (lambda: g_n(QQ, 2.0), lambda: witness_prop1(2.0), lambda: witness_prop2(2.0)):
-        with pytest.raises(DomainError, match="integer n >= 2, got 2.0"):
-            make()
+    # a float n is no index range and text is no number: g_n refuses both by
+    # name, also behind prop1 and prop2 and through run_witness, which passes
+    # n on as given, and no range guard compares them with 2 first
+    for n in (2.0, "3"):
+        for make in (lambda: g_n(QQ, n), lambda: witness_prop1(n), lambda: witness_prop2(n),
+                     lambda: run_witness("prop1", n=n), lambda: run_witness("prop2", n=n)):
+            with pytest.raises(DomainError, match=f"integer n >= 2, got {n!r}"):
+                make()
 
 
 # ---------------------------------------------------------------------------

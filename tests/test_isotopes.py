@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -283,11 +284,13 @@ def test_a_map_given_twice_is_checked():
 
 
 def test_a_shared_map_stays_one_object():
-    # the inverse, composite or isotope inverse of a map given twice is
-    # computed once, so the result shares it and checks it once
+    # the inverse, composite or isotope inverse of a map given twice, also
+    # as an equal copy, is computed once, so the result shares it and
+    # checks it once
     m = Matrix.diagonal(QQ, [1, 2, 3])
     iso = Isotopy.isomorphism(m)
-    for lam in (iso.inverse(), iso.then(iso), Isotopy.into_isotope(m, m)):
+    for lam in (iso.inverse(), iso.then(iso), Isotopy.into_isotope(m, m),
+                Isotopy.into_isotope(m, copy.copy(m))):
         assert lam.phi is lam.psi
     inv = iso.inverse()
     assert inv.xi is inv.phi

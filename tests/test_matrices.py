@@ -20,6 +20,7 @@ from isotopelab import (
     rref,
     solve,
 )
+from isotopelab import matrices
 from isotopelab.matrices import _insert, _raw, _spin
 
 rationals = Field.rationals()
@@ -195,6 +196,26 @@ def test_raw_reads_ints_without_field_scalar(field, monkeypatch):
     assert _raw(field, ints + [half]) == expected
 
 
+@pytest.mark.parametrize("field", [rationals, f5])
+def test_matrix_equality_hash_pickle_and_copy_build_no_scalars(field, monkeypatch):
+    # ==, hash, pickles and copies read the least raw form only, and a
+    # matrix of ints is built without a Scalar too
+    rows = [[Fraction(1, 2), 3, 0], [0, Fraction(-2, 3), 1], [4, 0, Fraction(5, 6)]]
+    a, b = Matrix(field, rows), Matrix(field, rows)
+
+    def refuse(*args):
+        raise AssertionError("a Scalar was built")
+
+    monkeypatch.setattr(matrices, "_scalars", refuse)
+    monkeypatch.setattr(Field, "scalar", refuse)
+    twins = [pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)]
+    ints = Matrix(field, [[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    for m in [b] + twins:
+        assert m == a and not m != a and hash(m) == hash(a)
+    assert pickle.dumps(a) == pickle.dumps(b) and a != ints and a * ints != a
+    assert all(m._rows is None for m in [a, b, ints] + twins)
+
+
 INPUT_CHECKS = {
     "ragged rows": (DimensionMismatchError, lambda: Matrix(rationals, [[1, 0], [1]])),
     "apply to a vector of length 3": (
@@ -263,7 +284,7 @@ def check_product(make, plain):
     det, prod = leibniz_det(field, plain.rows), make()
     assert prod.det() == det and prod.is_invertible() == bool(det) and prod._rows is None
     # the raw form: residues with scale 1, or integers over a positive scale
-    ints, scale = make()._raw_rows()
+    ints, scale = make()._ints, make()._scale
     if p is None:
         assert scale > 0 and all(type(v) is int for row in ints for v in row)
         assert [[Fraction(v, scale) for v in row] for row in ints] == values
@@ -284,13 +305,13 @@ def check_product(make, plain):
         make().rows = plain.rows
     # _of_raw copies the lists it is handed (and reduces them over gf p):
     # editing them afterwards leaves the matrix as it was
-    lists = [[v + 3 * (p or 0) for v in row] for row in make()._raw_rows()[0]]
-    copied = Matrix._of_raw(field, lists, make()._raw_rows()[1])
+    lists = [[v + 3 * (p or 0) for v in row] for row in make()._ints]
+    copied = Matrix._of_raw(field, lists, make()._scale)
     for row in lists:
         row[0] += 1
     lists.append(lists[0])
     assert copied == plain and copied.n == plain.n
-    assert copied._raw_rows() == make()._raw_rows()
+    assert (copied._ints, copied._scale) == (make()._ints, make()._scale)
 
 
 @st.composite
@@ -356,7 +377,14 @@ def test_elimination_against_independent_oracles(system):
     assert ((m * other) * (other * m)).rows == product_rows(Matrix(field, product_rows(m, other)),
                                                           Matrix(field, product_rows(other, m)))
     assert (m * other) * m == m * (other * m)
-    check_product(lambda: m * other * m, Matrix(field, product_rows(m * other, m)))
+    plain = Matrix(field, product_rows(m * other, m))
+    check_product(lambda: m * other * m, plain)
+    # raw values over a scale that is not the least one: 3 x over 3 s over
+    # QQ, x + 3 p over gf p, whose scale is always 1
+    prod = m * other * m
+    ints = [[3 * v if field.p is None else v + 3 * field.p for v in row] for row in prod._ints]
+    check_product(lambda: Matrix._of_raw(field, ints, 3 * prod._scale if field.p is None else 1),
+                  plain)
     assert m.apply(x0) == tuple(dot(field, x0, col) for col in zip(*m.rows))
     det = m.det()
     assert exact(field, [det])
