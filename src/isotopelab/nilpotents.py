@@ -12,8 +12,10 @@ leading-1 point of each line through the origin, y + s e_k + t e_last
 (k = n - 2, y_k = y_last = 0), and per prefix y takes the first h in the
 annihilator of e_k^2, e_k e_last + e_last e_k and e_last^2 whose equation
 h . v^2 = 0, linear in (s, t), is not 0 = 0 (see ``_nil_lines``).  The
-rank pass tests only these points, against the annihilator of the span so
-far: a multiple c v is in a span iff v is, and v comes first.
+prefixes come p at a time, stepped along their last coordinate, with one
+contraction per p of them.  The rank pass tests only the leading-1 points,
+one per nil line, against the annihilator of the span so far: a multiple
+c v is in a span iff v is, and v comes first.
 """
 
 from __future__ import annotations
@@ -100,8 +102,11 @@ def _nil_lines(tensor, p: int):
     coordinate is a 1 at ``lead``, not sorted (``nil_set_bruteforce``
     sorts each block).  Below lead k = n - 2, v = y + s e_k + t e_l
     (l = n - 1) squares to Y + s U + t W + s^2 e_k^2 + s t C + t^2 e_l^2
-    (Y = y^2, U = y e_k + e_k y, W = y e_l + e_l y, C = e_k e_l + e_l e_k):
-    one contraction and one combination per prefix y.  Each h in H, the
+    (Y = y^2, U = y e_k + e_k y, W = y e_l + e_l y, C = e_k e_l + e_l e_k).
+    Below lead j = k - 1 the prefixes come p at a time, y = y0 + t e_j
+    (y0_j = 0): one contraction and two combinations give Y0 = y0^2,
+    B = y0 e_j + e_j y0 and (U0, W0) at t = 0, and then Y = Y0 + t B +
+    t^2 e_j^2 and (U, W) = (U0, W0) + t (U, W at y = e_j).  Each h in H, the
     annihilator of e_k^2, C and e_l^2, gives h . Y + s h . U + t h . W = 0.
     The first of these that is not 0 = 0 decides: with a = b = 0 the
     prefix has no point, else it has one line (s bound if a != 0, else t),
@@ -109,7 +114,7 @@ def _nil_lines(tensor, p: int):
     lies on a line so chosen, and v^2 along a line is one quadratic whose
     roots ``_roots`` checks on all n coordinates."""
     n = len(tensor)
-    last, k = n - 1, n - 2
+    last, k, j = n - 1, n - 2, n - 3
     quad = tensor[last][last]
     yield [] if any(quad) else [(0,) * last + (1,)]
     if n == 1:
@@ -123,13 +128,25 @@ def _nil_lines(tensor, p: int):
     ann = [[int(i == j) for j in range(n)] for i in range(n)]
     for vec in (sq_k, mixed, quad):
         ann = _annihilate(ann, vec, p)
+
+    def prefixes(lead):
+        # (prefix, Y, U and W in one list) in product order
+        if lead == j:
+            yield (0,) * j + (1,), tensor[j][j], cross[j]
+            return
+        sym = [[u + v for u, v in zip(tensor[i][j], tensor[j][i])] for i in range(n)]
+        sq_j = tensor[j][j]
+        for outer in itertools.product(range(p), repeat=j - lead - 1):
+            y0 = (0,) * lead + (1,) + outer + (0, 0, 0)
+            sq0, lin0 = _contract(tensor, y0, y0), _combination(y0, cross, 0)
+            step = _combination(y0, sym, 0)
+            for t in range(p):
+                yield (y0[:j] + (t,), [a + t * (b + t * c) for a, b, c in zip(sq0, step, sq_j)],
+                       [a + t * b for a, b in zip(lin0, cross[j])])
+
     for lead in reversed(range(k)):
         lines = []
-        for outer in itertools.product(range(p), repeat=k - lead - 1):
-            prefix = (0,) * lead + (1,) + outer
-            y = prefix + (0, 0)
-            sq = _contract(tensor, y, y)
-            lin = _combination(y, cross, 0)
+        for prefix, sq, lin in prefixes(lead):
             u, w = lin[:n], lin[n:]
             # the first h . v^2 = 0, a s + b t + c = 0, that is not 0 = 0
             a = b = c = 0
@@ -177,8 +194,11 @@ def nil_set_bruteforce(A: Algebra) -> list[Element]:
         # built at the first nil line, whose multiples hold every nonzero residue
         scalar = scalar or [Scalar(A.field, r) for r in range(p)].__getitem__
         cols = list(zip(*lines))  # columnwise: a few long loops, not many short ones
+        # a table of the block's residues only: at most p, and at most its entries
+        residues = set().union(*cols)
         for c in range(1, p):
-            group = sorted(zip(*[[c * v % p for v in col] for col in cols]))
+            times = {v: c * v % p for v in residues}.__getitem__
+            group = sorted(zip(*[map(times, col) for col in cols]))
             # built in place, not by a helper: a call per element cost 1-6% of
             # this function's time on catalog and G_3..G_5 isotopes mod 5 and
             # 7 (2-vCPU VM), and the benchmark's search-fp op_p50_ms 1.5%
@@ -201,19 +221,21 @@ def nil_rank_bruteforce(A: Algebra) -> NilReport:
     # of dimension k + 1, r reaches k: on isotopes of G_5 mod 5 (2-vCPU VM)
     # the rank pass took 2.0-2.4 ms this way and 5.7-7.2 ms through _insert.
     ann = [[int(i == j) for j in range(n)] for i in range(n)]
-    witnesses = []
-    for el in nil_set_bruteforce(A):
-        for s in el.coords:
-            if s.value:
-                break
-        if s.value != 1:
-            continue
-        rest = _annihilate(ann, [s.value for s in el.coords], p)
-        if len(rest) < len(ann):
-            witnesses.append(el)
-            ann = rest
-            if not ann:
-                break
+    witnesses, nils, i = [], nil_set_bruteforce(A), 0
+    # the list is one block per lead coordinate: L points whose lead value is
+    # 1, then their multiples by c = 2..p-1 in groups of L.  Test the run that
+    # shares the block's first lead value, 1 (never empty, so i advances; it
+    # ends at the c = 2 group, as p > 2), then jump (p - 1) L to the next block
+    while i < len(nils) and ann:
+        start, lead = i, next(j for j, s in enumerate(nils[i].coords) if s.value)
+        one = nils[i].coords[lead].value
+        while ann and nils[i].coords[lead].value == one:
+            rest = _annihilate(ann, [s.value for s in nils[i].coords], p)
+            if len(rest) < len(ann):
+                witnesses.append(nils[i])
+                ann = rest
+            i += 1
+        i = start + (p - 1) * (i - start)
     return NilReport(len(witnesses), tuple(witnesses), METHOD_BRUTE_FP, closure_caveat=True)
 
 

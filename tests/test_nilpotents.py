@@ -362,6 +362,18 @@ def small_tensors(draw):
 # all coordinates finds no point on the line (124 nils, nil-rank 3)
 @example((5, [[[0, 0, 0, 1], [0] * 4, [1, 0, 0, 0], [0] * 4], [[0] * 4] * 4,
               [[1, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], [[0] * 4] * 4]))
+# n = 5 over gf 3, e0 e2 = e1 and e2 e0 = 2 e1: v^2 = 3 a c e1 = 0, so every
+# vector is nil, but only through the stepped term c_02. + c_20. of the
+# prefixes e0 + b e1 + c e2 (2 c_02. in its place would keep only c = 0)
+@example((3, [[[0] * 5, [0] * 5, [0, 1, 0, 0, 0], [0] * 5, [0] * 5],
+              [[0] * 5] * 5,
+              [[0, 2, 0, 0, 0]] + [[0] * 5] * 4,
+              [[0] * 5] * 5, [[0] * 5] * 5]))
+# e1^2 = e1 over gf 5: v = (a, b, s, t) is nil iff b = 0, so the lead-1
+# block is empty, and the rank pass jumps from the block of e2 + t e3
+# straight to that of e0 + s e2 + t e3 (the witnesses are e3, e2, e0)
+@example((5, [[[0] * 4] * 4, [[0] * 4, [0, 1, 0, 0], [0] * 4, [0] * 4],
+              [[0] * 4] * 4, [[0] * 4] * 4]))
 @given(small_tensors())
 def test_nil_scan_matches_full_point_scan(case):
     p, table = case
@@ -394,6 +406,50 @@ def test_nil_scan_solves_one_quadratic_per_prefix(monkeypatch):
     calls.clear()
     assert len(nil_set_bruteforce(Algebra(F5, E0_SQUARED_E2))) == p**3 - 1  # v_0 = 0
     assert len(calls) == p + 1
+
+
+@pytest.mark.parametrize("p, table", [(5, G4_ISOTOPE_GF5), (3, G5_ISOTOPE_GF3)])
+def test_nil_scan_contracts_once_per_p_prefixes(monkeypatch, p, table):
+    # below lead n - 3 the p prefixes y0 + t e_(n-3) share the contraction
+    # of y0, so a lead block of P prefixes takes ceil(P / p) of them
+    calls = []
+    contract = nilpotents._contract
+    monkeypatch.setattr(nilpotents, "_contract",
+                        lambda *args: calls.append(args) or contract(*args))
+    A = Algebra(Field.gf(p), table)
+    k = A.n - 2
+    assert [coords(e) for e in nil_set_bruteforce(A)] == _scan_oracle(table, p)[0]
+    assert 0 < len(calls) <= sum((p ** (k - lead - 1) + p - 1) // p for lead in range(k))
+
+
+@pytest.mark.parametrize("p, table", [(5, G4_ISOTOPE_GF5), (3, G5_ISOTOPE_GF3)])
+def test_nil_rank_reads_one_point_per_nil_line(monkeypatch, p, table):
+    # the rank pass tests each line's leading-1 point and jumps over its
+    # p - 2 other multiples: one _annihilate per line, besides the three
+    # that build H, and one more point read per lead block
+    A = Algebra(Field.gf(p), table)
+    nils = nil_set_bruteforce(A)
+    assert len(nils) % (p - 1) == 0
+    lines = len(nils) // (p - 1)
+    calls, read = [], set()
+
+    class Reads(list):
+        def __getitem__(self, i):
+            read.add(i)
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            read.update(range(len(self)))
+            return super().__iter__()
+
+    annihilate, nil_set = nilpotents._annihilate, nilpotents.nil_set_bruteforce
+    monkeypatch.setattr(nilpotents, "_annihilate",
+                        lambda *args: calls.append(args) or annihilate(*args))
+    monkeypatch.setattr(nilpotents, "nil_set_bruteforce", lambda A: Reads(nil_set(A)))
+    report = nil_rank_bruteforce(A)
+    assert report.rank == len(_scan_oracle(table, p)[1])
+    assert len(calls) <= lines + 3
+    assert 0 < len(read) <= lines + A.n
 
 
 def test_empty_nil_set_over_a_large_prime_builds_no_scalars(monkeypatch):
