@@ -156,14 +156,17 @@ class Scalar:
             return self.field.scalar(other)
         return None
 
+    def _of(self, value) -> "Scalar":
+        """The raw result ``value`` as a Scalar of this field: unchanged over
+        QQ, reduced mod p over F_p; the operators' one test of the field kind."""
+        p = self.field.p
+        return Scalar(self.field, value if p is None else value % p)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value + o.value)
-        return Scalar(self.field, (self.value + o.value) % p)
+        return self._of(self.value + o.value)
 
     __radd__ = __add__
 
@@ -171,10 +174,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value - o.value)
-        return Scalar(self.field, (self.value - o.value) % p)
+        return self._of(self.value - o.value)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -186,10 +186,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value * o.value)
-        return Scalar(self.field, self.value * o.value % p)
+        return self._of(self.value * o.value)
 
     __rmul__ = __mul__
 
@@ -206,28 +203,20 @@ class Scalar:
         return o * self.inverse()
 
     def __neg__(self):
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, -self.value % p)
+        return self._of(-self.value)
 
+    # pow(v, k, None) is plain v ** k, so pow with the field's p serves QQ too
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, self.value**k)
-        return Scalar(self.field, pow(self.value, k, p))
+        return Scalar(self.field, pow(self.value, k, self.field.p))
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, p - 2, p))
+        return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     @property
     def is_zero(self) -> bool:

@@ -179,6 +179,25 @@ def test_inverse_and_pow():
     assert r.inverse().value == Fraction(7, 2)
 
 
+@pytest.mark.parametrize("p", [None, 3, 5, 7])
+@given(small_fractions, st.integers(-4, 4))
+def test_pow_matches_python_pow(p, a, k):
+    field = Field(p)
+    if p is not None:
+        a = a.numerator  # an int, often a multiple of p
+    x = field.scalar(a)
+    assert x**0 == 1
+    assert field.zero**0 == 1
+    if k < 0:
+        # not the ValueError of pow(0, -1, p)
+        with pytest.raises(ZeroDivisionError, match="zero has no inverse"):
+            field.zero**k
+    if x.is_zero:
+        return
+    assert (x**k).value == (a**k if p is None else pow(a, k, p))
+    assert x**-1 == x.inverse()
+
+
 INPUT_CHECKS = {
     "a scalar over gf 5 into QQ": (FieldMismatchError, lambda: QQ.scalar(f5.one)),
     "a float": (TypeError, lambda: QQ.scalar(0.5)),
