@@ -47,7 +47,7 @@ def _operators(tensor) -> list[tuple[int, list]]:
     R_{e_b} (row i is c_ib.) for every b, then L_{e_b} (row i is c_bi.) for
     the b where L_{e_b} != R_{e_b}.  A repeated operator adds nothing to a
     span closure or a linear system, so a commutative algebra gets n.
-    Works on a tensor of Scalars and on one of residues."""
+    Works on a raw tensor: the integers D c of a rational algebra, or residues."""
     n = len(tensor)
     rights = [(b, [tensor[i][b] for i in range(n)]) for b in range(n)]
     return rights + [(b, list(tensor[b])) for b, op in rights if list(tensor[b]) != op]
@@ -415,25 +415,25 @@ def ideal_search_exhaustive(A: Algebra) -> list[tuple[Element, ...]]:
             f"subspace enumeration infeasible for n = {A.n}, p = {p}"
         )
     operators = [op for _, op in _operators(A._tensor)]
-    return [] if _irreducible(operators, p) else _ideal_scan(A, operators, p)
+    return [] if _irreducible(operators, p) else _ideal_scan(A, _row_images(operators, p), p)
 
 
-def _ideal_scan(A: Algebra, operators, p: int) -> list[tuple[Element, ...]]:
+def _ideal_scan(A: Algebra, images, p: int) -> list[tuple[Element, ...]]:
     """The ideals of :func:`ideal_search_exhaustive` by a pruned scan.
 
     The bases are built one row at a time: pivot columns in
     ``itertools.combinations`` order, then the free entries with row 0
     slowest, each row's in lexicographic order.  Every row but the last is
-    spun: closed under the operators, which gives the ideal <v> it
-    generates.  If v lies in an ideal I then <v> lies in I, so every
-    leading position of <v> is a pivot column of I; a row whose spin has a
-    leading position outside the pivot columns (a spin of all of F_p^n
-    has every column) is dropped with all its completions.  Each completed
-    basis is then checked for closure directly, so the list and its order
-    are those of a flat scan over every proper subspace.
+    spun: closed under the operators' row ``images`` (:func:`_row_images`),
+    which gives the ideal <v> it generates.  If v lies in an ideal I then
+    <v> lies in I, so every leading position of <v> is a pivot column of I;
+    a row whose spin has a leading position outside the pivot columns (a
+    spin of all of F_p^n has every column) is dropped with all its
+    completions.  Each completed basis is then checked for closure
+    directly, on the same images, so the list and its order are those of a
+    flat scan over every proper subspace.
     """
     n = A.n
-    images = _row_images(operators, p)
     spins: dict[tuple[int, ...], frozenset] = {}
     found: list[tuple[Element, ...]] = []
 
@@ -447,12 +447,10 @@ def _ideal_scan(A: Algebra, operators, p: int) -> list[tuple[Element, ...]]:
                 row[c] = x
             if last:
                 basis = rows + [row]
-                # rows have pivot 1, so the products need no reduction mod p
-                # until the membership test
                 if all(
-                    not any(v % p for v in _reduce(_combination(w, op, 0), basis, pivots)[0])
+                    not any(_reduce(image, basis, pivots, p)[0])
                     for w in basis
-                    for op in operators
+                    for image in images(w)
                 ):
                     found.append(tuple(Element(A, w) for w in basis))
                 continue

@@ -266,22 +266,12 @@ def nil_rank_exact_C(alpha: Scalar, beta, gamma) -> NilReport:
     )
 
 
-def _match_c_params(A: Algebra):
-    """Parameters (alpha, beta, gamma) when the tensor is literally a
-    C(alpha, beta, gamma) presentation in its given basis, else None."""
-    if A.n != 3:
-        return None
-    cell = A.table[1][2]
-    if A == c_family(A.field, cell[0], cell[1], cell[2]):
-        return cell[0], cell[1], cell[2]
-    return None
-
-
 def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
     """Dispatching front end used by the command line.
 
-    Prime-field algebras are enumerated directly.  Rational algebras in
-    literal C(alpha, beta, gamma) form use the exact criterion; any other
+    Prime-field algebras are enumerated directly.  A rational algebra that
+    is literally C(alpha, beta, gamma) in its given basis (xy is the cell
+    (alpha, beta, gamma)), alpha != 0, uses the exact criterion; any other
     rational algebra is reduced mod an odd prime (p, or the smallest
     feasible one) and enumerated, with the closure caveat and
     ``reduced_mod`` set.  A given p must be an odd prime, whatever the
@@ -293,8 +283,7 @@ def nil_rank(A: Algebra, p: int | None = None) -> NilReport:
         if p is not None and p != A.field.p:
             raise DomainError(f"algebra over {A.field} cannot be reduced mod {p}")
         return nil_rank_bruteforce(A)
-    params = _match_c_params(A)
-    if params is not None and params[0]:
+    if A.n == 3 and (params := A.table[1][2])[0] and A == c_family(A.field, *params):
         return nil_rank_exact_C(*params)
     if p is None:
         p = 3

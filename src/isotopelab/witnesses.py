@@ -435,12 +435,6 @@ def _lemma1_catalog(sigma, tau, field: Field = QQ) -> Certificate:
     return cert
 
 
-def _theorem1(abg, field: Field = QQ) -> Certificate:
-    if len(abg) != 3:
-        raise _needs("theorem1", "abg")
-    return witness_theorem1(*abg, field=field)
-
-
 class _Required(str):
     """Stands in for the default of an option its pipeline cannot run
     without; the text spells the value in the error message."""
@@ -454,7 +448,8 @@ PIPELINES = {
     "lemma6": (lambda **kw: witness_lemma6(**kw), {}),
     "lemma10": (lambda **kw: witness_lemma10(**kw), {}),
     "lemma11": (lambda **kw: witness_lemma11(**kw), {"rho": _Required()}),
-    "theorem1": (lambda **kw: _theorem1(**kw), {"abg": _Required("alpha,beta,gamma")}),
+    "theorem1": (lambda abg, **kw: witness_theorem1(*abg, **kw),
+                 {"abg": _Required("alpha,beta,gamma")}),
     "theorem2": (lambda **kw: witness_theorem2(**kw), {}),
     "prop1": (lambda **kw: witness_prop1(**kw), {"n": 2}),
     "prop2": (lambda **kw: witness_prop2(**kw), {"n": 2}),
@@ -504,6 +499,8 @@ def run_witness(name: str, field: Field = QQ, **options) -> Certificate:
     for option, value in given.items():
         if option == "abg":
             kwargs[option] = tuple(_reduce(field, option, v) for v in value)
+            if len(kwargs[option]) != 3:
+                raise _needs(name, option)
         elif option in ("rho", "sigma", "tau"):
             kwargs[option] = _reduce(field, option, value)
     return pipeline(field=field, **kwargs)

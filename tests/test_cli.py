@@ -123,6 +123,7 @@ def test_witness_lemma11_domain_error(capsys):
         (["lemma11"], "lemma11 needs --rho"),
         (["theorem1"], "theorem1 needs --abg alpha,beta,gamma"),
         (["theorem1", "--abg", "1,2"], "theorem1 needs --abg alpha,beta,gamma"),
+        (["theorem1", "--abg", "1,2,3,4"], "theorem1 needs --abg alpha,beta,gamma"),
     ],
 )
 def test_witness_missing_option_message(capsys, args, message):
@@ -147,6 +148,7 @@ def test_witness_n_zero_is_out_of_range(capsys):
         ("lemma11", "--rho", "1.5"),
         ("theorem1", "--abg", "2,1/0,4"),
         ("theorem1", "--abg", "2,abc,4"),
+        ("theorem1", "--abg", "1,abc"),
         ("lemma1", "--sigma", "abc"),
         ("lemma1", "--tau", "1/0"),
     ],

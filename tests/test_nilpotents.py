@@ -182,6 +182,15 @@ def test_nil_rank_dispatcher():
     report = nil_rank(g_n(QQ, 2), p=7)
     assert report.rank == 2
     assert report.reduced_mod == 7
+    # C(1, 1, 0) with c_000 = 2: alpha != 0, but no longer a literal C-form
+    table = [
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 0], [1, 1, 0]],
+        [[0, 0, 1], [1, 1, 0], [0, 0, 0]],
+    ]
+    report = nil_rank(Algebra(QQ, table))
+    assert report.method == "bruteforce-fp"
+    assert report.reduced_mod == 3
     with pytest.raises(DomainError):
         nil_rank(c2(QQ), p=4)
 
